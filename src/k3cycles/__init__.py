@@ -59,7 +59,6 @@ from .lattice import (
     e8_lattice,
     hyperbolic_plane,
     k3_lattice,
-    lattice_info,
     nikulin_embeddable,
     rescale,
     root_a1,

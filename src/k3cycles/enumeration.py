@@ -40,22 +40,13 @@ def _enum_limit() -> int:
 
 def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Split Q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2; needs Q > 0."""
-    n = len(gram)
-    a = linalg.frac_matrix(gram)
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
-            raise IndefiniteLattice("Gram matrix is not positive definite")
-        d[i] = piv
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / piv
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / piv
-                for c in range(i + 1, n):
-                    a[r][c] -= f * a[i][c]
+    m, _ = linalg._symmetric_pass(gram)
+    n = len(m)
+    d = [m[i][i] for i in range(n)]
+    if any(x <= 0 for x in d):
+        raise IndefiniteLattice("Gram matrix is not positive definite")
+    u = [[Fraction(0)] * (i + 1) + [m[i][j] / d[i] for j in range(i + 1, n)]
+         for i in range(n)]
     return d, u
 
 
@@ -304,12 +295,6 @@ def _validate_target(target) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def target_rank(target) -> int:
-    rows = _validate_target(target)
-    p, q, z = linalg.inertia(rows)
-    return p + q
-
-
 def _target_is_psd(rows) -> bool:
     _p, q, _z = linalg.inertia(rows)
     return q == 0
@@ -383,7 +368,7 @@ def _tuple_search(
                for b in range(s)] for a in range(s)]
         rhs2 = [sum(Fraction(kernel[a][i]) * G[i][j] * x0[j]
                     for i in range(n) for j in range(n)) for a in range(s)]
-        w_vec = linalg.solve(linalg.frac_matrix(gs), rhs2)
+        w_vec = linalg.solve(gs, rhs2)
         assert w_vec is not None
         q0 = sum(x0[i] * G[i][j] * x0[j] for i in range(n) for j in range(n))
         wgw = sum(w_vec[a] * gs[a][b] * w_vec[b] for a in range(s) for b in range(s))

@@ -69,10 +69,6 @@ class NotNegativePlane(K3CyclesError):
     """Plane basis does not span a negative definite rank-2 subspace."""
 
 
-# Some call sites describe the same failure as an indefinite plane.
-IndefinitePlane = NotNegativePlane
-
-
 class BadSplitting(K3CyclesError):
     """Claimed positive/negative splitting is not orthogonal or has wrong shape."""
 

@@ -260,38 +260,25 @@ def special_endo_lattice(lat: Lattice, z: PeriodPlane) -> Lattice:
     return Lattice(gram)
 
 
+def _diagonal_splitting(lat: Lattice) -> Splitting:
+    """Integral plus and minus rows from one diagonalization of the Gram."""
+    basis, diag = linalg.congruence_diagonalize(lat.gram)
+    rows = [(_clear_denominators(tuple(b)), d) for b, d in zip(basis, diag)]
+    return tuple(v for v, d in rows if d > 0), tuple(v for v, d in rows if d < 0)
+
+
 def default_splitting(lat: Lattice) -> Splitting:
     """An orthogonal plus/minus splitting found by diagonalizing the Gram.
 
     Needs exactly two negative directions; basis vectors are cleared to
     integer coordinates so they feed straight into polarizer.
     """
-    basis, diag = linalg.congruence_diagonalize(lat.gram)
-    neg = [i for i, d in enumerate(diag) if d < 0]
-    if len(neg) != 2:
+    plus, minus = _diagonal_splitting(lat)
+    if len(minus) != 2:
         raise UnsupportedSignature(
             "a default splitting needs exactly two negative directions"
         )
-    minus = tuple(_clear_denominators(tuple(basis[i])) for i in neg)
-    plus = tuple(
-        _clear_denominators(tuple(basis[i])) for i, d in enumerate(diag) if d > 0
-    )
     return (plus, minus)
-
-
-def _internal_polarizer(lat: Lattice) -> CliffordElement:
-    """An involution-antisymmetric a = a1 a2 found by diagonalizing L."""
-    basis, diag = linalg.congruence_diagonalize(lat.gram)
-    neg = [i for i, d in enumerate(diag) if d < 0]
-    if len(neg) < 2:
-        raise UnsupportedSignature(
-            "no negative 2-plane available for an internal polarizer"
-        )
-    a1 = _clear_denominators(tuple(basis[neg[0]]))
-    a2 = _clear_denominators(tuple(basis[neg[1]]))
-    return clifford.multiply(
-        clifford.vector_element(lat, a1), clifford.vector_element(lat, a2)
-    )
 
 
 def commutation_profile(lat: Lattice, x: Sequence) -> CommutationProfile:
@@ -309,7 +296,14 @@ def commutation_profile(lat: Lattice, x: Sequence) -> CommutationProfile:
     dx = clifford.multiply(d, xe)
     delta_commutes = xd == dx
     rule = delta_commutes if lat.rank % 2 else xd == -dx
-    a = _internal_polarizer(lat)
+    _plus, minus = _diagonal_splitting(lat)
+    if len(minus) < 2:
+        raise UnsupportedSignature(
+            "no negative 2-plane available for an internal polarizer"
+        )
+    a = clifford.multiply(
+        clifford.vector_element(lat, minus[0]), clifford.vector_element(lat, minus[1])
+    )
     rng = random.Random(20260823)
     size = 1 << lat.rank
     adjoint_ok = True

@@ -114,13 +114,6 @@ class Lattice:
 
 
 @dataclass(frozen=True)
-class LatticeInfo:
-    even: bool
-    unimodular: bool
-    det: int
-
-
-@dataclass(frozen=True)
 class DiscriminantGroup:
     """L^vee / L presented by cyclic invariant factors.
 
@@ -162,11 +155,6 @@ def signature(lat: Lattice) -> Signature:
     if z:
         raise DegenerateLattice("Gram matrix is degenerate")
     return Signature(p, q)
-
-
-def lattice_info(lat: Lattice) -> LatticeInfo:
-    d = lat.det
-    return LatticeInfo(even=lat.even, unimodular=abs(d) == 1, det=d)
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:

@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are lists of lists, row major.  Rational routines work on
-fractions.Fraction entries; integer routines (Smith form, kernels) expect
-plain ints and return plain ints.  Everything here is deterministic and
-allocation-happy rather than clever, which is fine at the ranks this
-package handles (a few dozen at most).
+Matrices are lists of lists, row major.  Two loops do all the rational
+elimination.  _gauss_jordan is a fraction-free (Bareiss) Gauss-Jordan on
+integer rows, every entry an integer minor; det, rank, solve and inverse
+clear row denominators before it and divide by its pivot only to build
+their Fraction results.  _symmetric_pass, the Schur pass behind inertia,
+congruence_diagonalize and the enumeration LDL, stays in Fraction so it
+can skip rows with a zero multiplier, which keeps the nearly diagonal
+Clifford forms cheap.  Smith form and kernels take and return ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,10 +31,6 @@ def int_identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -39,60 +39,69 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and all(
         a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def det(a) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = frac_matrix(a)
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _integer_rows(a) -> tuple[IntMatrix, int]:
+    """Rows of an int/Fraction matrix times the lcm of their denominators
+    (same row space), and the product of those lcms."""
+    rows, scale = [], 1
+    for row in a:
+        s = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
+
+
+def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (pivots, p, sign): row r ends with p in column pivots[r] and
+    zeros in the other pivot columns, so m / p is the reduced row echelon
+    form; p is the leading pivot minor and sign the parity of the row
+    swaps.  The division by the previous pivot is exact (Bareiss).
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    p, sign = 1, 1
+    for col in range(cols):
+        rk = len(pivots)
+        if rk == rows:
+            break
+        piv = next((r for r in range(rk, rows) if m[r][col]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            continue
+        if piv != rk:
+            m[rk], m[piv] = m[piv], m[rk]
             sign = -sign
-        p = m[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out * sign
+        top = m[rk]
+        q = top[col]
+        for r, row in enumerate(m):
+            if r == rk:
+                continue
+            f = row[col]
+            if f:
+                m[r] = [(q * x - f * y) // p for x, y in zip(row, top)]
+            elif q != p:
+                m[r] = [q * x // p for x in row]
+        pivots.append(col)
+        p = q
+    return pivots, p, sign
+
+
+def det(a) -> Fraction:
+    """Exact determinant of a square int/Fraction matrix."""
+    m, scale = _integer_rows(a)
+    pivots, p, sign = _gauss_jordan(m)
+    return Fraction(sign * p, scale) if len(pivots) == len(m) else Fraction(0)
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
-    m = frac_matrix(a)
-    rows, cols = len(m), len(m[0])
-    rk = 0
-    for col in range(cols):
-        piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        for r in range(rows):
-            if r != rk and m[r][col] != 0:
-                f = m[r][col] / p
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        rk += 1
-        if rk == rows:
-            break
-    return rk
+    return len(_gauss_jordan(_integer_rows(a)[0])[0])
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
@@ -100,80 +109,70 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
 
     For singular square systems the free coordinates are set to zero.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    rk = 0
-    for col in range(cols):
-        piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        m[rk] = [x / p for x in m[rk]]
-        for r in range(rows):
-            if r != rk and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        pivots.append(col)
-        rk += 1
-    for r in range(rk, rows):
-        if m[r][cols] != 0:
-            return None
+    cols = len(a[0]) if a else 0
+    m, _ = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    pivots, p, _ = _gauss_jordan(m)
+    if pivots and pivots[-1] == cols:
+        return None
     x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][cols]
+    for row, col in zip(m, pivots):
+        x[col] = Fraction(row[cols], p)
     return x
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:
     n = len(a)
-    m = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    m, _ = _integer_rows([list(a[i]) + [int(i == j) for j in range(n)]
+                          for i in range(n)])
+    pivots, p, _ = _gauss_jordan(m)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
-def rational_kernel(a) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a over Q (list of vectors)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+def _symmetric_pass(a, basis: bool = False) -> tuple[Matrix, Optional[Matrix]]:
+    """Congruence diagonalization of a symmetric matrix by Schur steps.
+
+    Returns (m, b): d is the diagonal of m, and right of it row i keeps the
+    pivot row of step i (the LDL rows when a is positive definite, as then
+    no pivoting happens).  A zero pivot is swapped with a later nonzero
+    diagonal entry, or else becomes 2*m[i][j] by adding row and column j;
+    with no such j, d_i = 0.  b, built only when asked, has rows with
+    b[i] . a . b[j] = d_i if i = j and 0 otherwise.
+    """
+    n = len(a)
     m = frac_matrix(a)
-    pivots = []
-    rk = 0
-    for col in range(cols):
-        piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        m[rk] = [x / p for x in m[rk]]
-        for r in range(rows):
-            if r != rk and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        pivots.append(col)
-        rk += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    b = identity(n) if basis else None
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+                if b is not None:
+                    b[i], b[j] = b[j], b[i]
+            else:
+                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                if j is None:
+                    continue
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[i] += row[j]
+                if b is not None:
+                    b[i] = [x + y for x, y in zip(b[i], b[j])]
+        top = m[i]
+        piv = top[i]
+        nonzero = [c for c in range(i + 1, n) if top[c] != 0]
+        for r in range(i + 1, n):
+            row = m[r]
+            if row[i] != 0:
+                f = row[i] / piv
+                for c in nonzero:
+                    row[c] -= f * top[c]
+                if b is not None:
+                    b[r] = [x - f * y for x, y in zip(b[r], b[i])]
+    return m, b
 
 
 def inertia(a) -> tuple[int, int, int]:
@@ -182,38 +181,11 @@ def inertia(a) -> tuple[int, int, int]:
     Computed by congruence diagonalization with exact pivoting; z counts
     zero eigenvalues, so a nondegenerate form has z = 0.
     """
-    n = len(a)
     if not is_symmetric(a):
         raise ValueError("inertia requires a symmetric matrix")
-    m = frac_matrix(a)
-    p = q = z = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
-            if j is not None:
-                _congruence_swap(m, i, j)
-            else:
-                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
-                if j is None:
-                    z += 1
-                    continue
-                # mix in row/column j so the diagonal pivot becomes 2*m[i][j]
-                _congruence_add(m, i, j)
-        piv = m[i][i]
-        if piv > 0:
-            p += 1
-        else:
-            q += 1
-        # Schur complement of the pivot: only the trailing block changes
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / piv
-                for c in range(i + 1, n):
-                    m[r][c] -= f * m[i][c]
-        for r in range(i + 1, n):
-            m[r][i] = Fraction(0)
-            m[i][r] = Fraction(0)
-    return p, q, z
+    m, _ = _symmetric_pass(a)
+    d = [m[i][i] for i in range(len(m))]
+    return sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d)
 
 
 def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
@@ -223,47 +195,10 @@ def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
     Degenerate directions come out with d[i] = 0.  Same pivoting as
     inertia, but the congruence transform is recorded.
     """
-    n = len(a)
     if not is_symmetric(a):
         raise ValueError("congruence diagonalization requires a symmetric matrix")
-    m = frac_matrix(a)
-    b = identity(n)
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
-            if j is not None:
-                _congruence_swap(m, i, j)
-                b[i], b[j] = b[j], b[i]
-            else:
-                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
-                if j is None:
-                    continue
-                _congruence_add(m, i, j)
-                b[i] = [x + y for x, y in zip(b[i], b[j])]
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / piv
-                for c in range(i + 1, n):
-                    m[r][c] -= f * m[i][c]
-                b[r] = [x - f * y for x, y in zip(b[r], b[i])]
-        for r in range(i + 1, n):
-            m[r][i] = Fraction(0)
-            m[i][r] = Fraction(0)
-    return b, [m[i][i] for i in range(n)]
-
-
-def _congruence_swap(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _congruence_add(m, i, j):
-    for c in range(len(m)):
-        m[i][c] += m[j][c]
-    for r in range(len(m)):
-        m[r][i] += m[r][j]
+    m, b = _symmetric_pass(a, basis=True)
+    return b, [m[i][i] for i in range(len(m))]
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -21,8 +21,6 @@ from .enumeration import norm_histogram, tuple_rep_count, _validate_target
 from .errors import InvalidTau, UnsupportedWeight
 from .lattice import Lattice, Vector, discriminant_group
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class QExpansion:
@@ -129,7 +127,7 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
     v = tau.imag
     if lat.rank == 0:
         return 0.0
-    inv = linalg.inverse(linalg.frac_matrix(lat.gram))
+    inv = linalg.inverse(lat.gram)
     assert inv is not None
     g = max(float(inv[i][i]) for i in range(lat.rank))
     total = 0.0

@@ -2,7 +2,9 @@
 
 Everything here favors obviousness over speed: rectangular boxes from
 the inverse Gram diagonal, itertools.product sweeps, divisor sums by
-trial division.  Nothing imports from the enumeration or theta modules.
+trial division, and a plain Fraction Gauss-Jordan elimination as the
+reference for linalg.  Nothing imports from the enumeration, theta or
+linalg modules.
 """
 
 from __future__ import annotations
@@ -12,7 +14,63 @@ import math
 from fractions import Fraction
 
 from k3cycles.lattice import Lattice
-from k3cycles.linalg import inverse
+
+
+def gauss_jordan(a) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form of a over Q, its pivot columns, and the
+    signed product of the pivots (det a when a is square and nonsingular)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    det = Fraction(1)
+    for col in range(cols):
+        rk = len(pivots)
+        piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rk:
+            m[rk], m[piv] = m[piv], m[rk]
+            det = -det
+        p = m[rk][col]
+        det *= p
+        m[rk] = [x / p for x in m[rk]]
+        for r in range(rows):
+            if r != rk and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def det(a) -> Fraction:
+    _m, pivots, d = gauss_jordan(a)
+    return d if len(pivots) == len(a) else Fraction(0)
+
+
+def rank(a) -> int:
+    return len(gauss_jordan(a)[1])
+
+
+def solve(a, b):
+    """One solution of a*x = b with free coordinates zero, or None."""
+    cols = len(a[0]) if a else 0
+    m, pivots, _d = gauss_jordan([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][cols]
+    return x
+
+
+def inverse(a):
+    n = len(a)
+    m, pivots, _d = gauss_jordan([list(a[i]) + [int(i == j) for j in range(n)]
+                                  for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in m]
 
 
 def _box_radii(lat: Lattice, bound: Fraction) -> list[int]:

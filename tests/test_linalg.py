@@ -1,11 +1,15 @@
 """Exact rational and integer matrix kernels."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3cycles import linalg
+import oracles
+from k3cycles import enumeration, linalg
+from k3cycles.errors import IndefiniteLattice
 
 
 def int_matrices(n, lo=-5, hi=5):
@@ -130,3 +134,143 @@ def test_integer_kernel_saturated():
     from math import gcd
 
     assert gcd(x, y) == 1
+
+
+# Ranks 8-20 with entries up to 100: the sizes where elimination bugs show.
+# Matrices come from a drawn seed so that hypothesis never holds 400 entries.
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _entry(rng, rational, hi=100):
+    v = rng.randint(-hi, hi)
+    return Fraction(v, rng.randint(1, 12)) if rational else v
+
+
+def _general_system(seed):
+    """A rows x cols matrix (dense, sparse enough to force row swaps, or
+    rank deficient; integral or rational) and a right-hand side that is
+    consistent or random."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(8, 20), rng.randint(8, 20)
+    rational = rng.random() < 0.5
+    shape = rng.choice(("dense", "sparse", "low_rank"))
+    if shape != "low_rank":
+        a = [[_entry(rng, rational) if shape == "dense" or rng.random() < 0.3 else 0
+              for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = rng.randint(0, min(rows, cols) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[_entry(rng, rational) for _ in range(cols)] for _ in range(k)]
+        a = linalg.mat_mul(left, right) or [[0] * cols for _ in range(rows)]
+    if rng.random() < 0.5:
+        x = [_entry(rng, rational, 5) for _ in range(cols)]
+        b = [sum(row[j] * x[j] for j in range(cols)) for row in a]
+    else:
+        b = [_entry(rng, rational) for _ in range(rows)]
+    return a, b
+
+
+def _symmetric_form(seed):
+    """A symmetric matrix of rank 8-20, with zero-diagonal cases that force
+    both the swap and the add pivot of the symmetric pass."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 20)
+    mode = rng.choice(["dense", "zero_first", "zero_diagonal", "sparse_zero_diagonal",
+                       "low_rank", "positive"])
+    if mode in ("low_rank", "positive"):
+        k = rng.randint(1, n - 1) if mode == "low_rank" else n
+        v = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        w = [rng.choice((-3, -1, 1, 2)) if mode == "low_rank" else 1 for _ in range(k)]
+        a = [[sum(v[t][i] * w[t] * v[t][j] for t in range(k)) + (mode == "positive" and i == j)
+              for j in range(n)] for i in range(n)]
+    else:
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if mode != "sparse_zero_diagonal" or rng.random() < 0.2:
+                    a[i][j] = a[j][i] = rng.randint(-100, 100)
+        if mode == "zero_first":
+            a[0][0] = 0
+            a[1][1] = a[1][1] or 1
+        elif mode != "dense":
+            for i in range(n):
+                a[i][i] = 0
+    if rng.random() < 0.3:
+        den = rng.randint(2, 12)
+        a = [[Fraction(x, den) for x in row] for row in a]
+    return a
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_general_core_matches_oracle(seed):
+    a, b = _general_system(seed)
+    assert linalg.rank(a) == oracles.rank(a)
+    assert linalg.solve(a, b) == oracles.solve(a, b)
+    k = min(len(a), len(a[0]))
+    square = [row[:k] for row in a[:k]]
+    assert linalg.det(square) == oracles.det(square)
+    assert linalg.inverse(square) == oracles.inverse(square)
+    assert linalg.solve(square, b[:k]) == oracles.solve(square, b[:k])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_symmetric_pass_diagonalizes(seed):
+    a = _symmetric_form(seed)
+    n = len(a)
+    basis, diag = linalg.congruence_diagonalize(a)
+    assert oracles.det(basis) != 0
+    product = linalg.mat_mul(linalg.mat_mul(basis, a), [list(c) for c in zip(*basis)])
+    assert product == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert linalg.inertia(a) == (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0),
+                                 sum(1 for d in diag if d == 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_ldl_splits_positive_forms(seed):
+    a = _symmetric_form(seed)
+    n = len(a)
+    p, _q, _z = linalg.inertia(a)
+    if p < n:
+        with pytest.raises(IndefiniteLattice):
+            enumeration._ldl(a)
+        return
+    d, u = enumeration._ldl(a)
+    unit = [[Fraction(int(i == j)) + (u[i][j] if j > i else 0) for j in range(n)]
+            for i in range(n)]
+    lower = [list(c) for c in zip(*unit)]
+    assert linalg.mat_mul(lower, [[d[i] * x for x in unit[i]] for i in range(n)]) == \
+        [[Fraction(x) for x in row] for row in a]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seeds)
+def test_linalg_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    a, b = _general_system(seed)
+    m = sympy.Matrix(a)
+    assert linalg.rank(a) == m.rank()
+    k = min(len(a), len(a[0]))
+    square = [row[:k] for row in a[:k]]
+    s = sympy.Matrix(square)
+    assert linalg.det(square) == Fraction(str(s.det()))
+    inv = linalg.inverse(square)
+    if inv is None:
+        assert s.rank() < k
+    else:
+        assert sympy.Matrix(inv) == s.inv()
+    x = linalg.solve(a, b)
+    consistent = m.rank() == sympy.Matrix.hstack(m, sympy.Matrix(b)).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m * sympy.Matrix(x) == sympy.Matrix(b)
+    form = _symmetric_form(seed)
+    coeffs = sympy.Matrix(form).charpoly().all_coeffs()
+    # all roots are real, so Descartes' rule of signs counts them exactly
+    nonzero = [c for c in coeffs if c != 0]
+    changes = sum(1 for u, v in zip(nonzero, nonzero[1:]) if u * v < 0)
+    zeros = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    assert linalg.inertia(form) == (changes, len(form) - zeros - changes, zeros)
