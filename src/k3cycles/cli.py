@@ -295,7 +295,7 @@ def _build_parser(name: str) -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="parallelism cap; output never depends on it",
+        help="reserved: accepted but not used yet; every subcommand runs single-threaded",
     )
     if name in ("info", "count", "theta", "gauss", "milgram", "clifford", "ks"):
         p.add_argument("--lattice", required=True, help=_LATTICE_HELP)

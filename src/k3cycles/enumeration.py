@@ -8,6 +8,11 @@ square-root floors, never from floating point.  Coset shifts are allowed,
 so norms and targets may be non-integral rationals.
 
 Counting paths exploit the x -> -x symmetry when the coset is trivial.
+
+Tuple counts (genus r) enumerate each slot's norm shell once, scale it to
+integer vectors X and precompute G X; a backtracking search then keeps a
+candidate for a later slot only if its integer dot product with every
+chosen G X matches the target, so no partial tuple needs linear algebra.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from . import linalg
@@ -115,6 +121,7 @@ def _sweep(
     bound: Fraction,
     visit: Callable[[list[Fraction], Fraction, int], None],
     symmetric: bool,
+    budget: Optional[_Budget] = None,
 ) -> None:
     """Call visit(coords, norm, weight) for x in Z^n + shift, Q(x) <= bound.
 
@@ -128,7 +135,8 @@ def _sweep(
         return
     d, u = _ldl(gram)
     shift = [Fraction(s) for s in shift]
-    budget = _Budget(_enum_limit())
+    if budget is None:
+        budget = _Budget(_enum_limit())
     xs: list[Fraction] = [Fraction(0)] * n
 
     def rec(i: int, used: Fraction, zero_prefix: bool):
@@ -161,6 +169,7 @@ def _sweep_eq(
     target: Fraction,
     visit: Callable[[list[Fraction], int], None],
     symmetric: bool,
+    budget: Optional[_Budget] = None,
 ) -> None:
     """Like _sweep but with Q(x) = target exactly; the innermost level is
     solved as a quadratic equation instead of scanned."""
@@ -173,7 +182,8 @@ def _sweep_eq(
         return
     d, u = _ldl(gram)
     shift = [Fraction(s) for s in shift]
-    budget = _Budget(_enum_limit())
+    if budget is None:
+        budget = _Budget(_enum_limit())
     xs: list[Fraction] = [Fraction(0)] * n
 
     def base(c: Fraction, remaining: Fraction, zero_prefix: bool):
@@ -275,10 +285,6 @@ def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction,
     return counts
 
 
-def _gram_rows(lat: Lattice) -> list[list[Fraction]]:
-    return linalg.frac_matrix(lat.gram)
-
-
 def _validate_target(target) -> tuple[tuple[int, ...], ...]:
     rows = tuple(tuple(int(x) for x in row) for row in target)
     r = len(rows)
@@ -308,110 +314,80 @@ def _tuple_cosets(lat: Lattice, r: int, cosets: Optional[Sequence]) -> list[list
     return [_normalized_shift(lat, h) for h in cosets]
 
 
-def _tuple_search(
-    lat: Lattice,
-    target: Sequence[Sequence[int]],
-    cosets: Optional[Sequence],
-    leaf: Callable[[list[Vector]], None],
-) -> None:
-    """Backtracking over tuples (x_1..x_r) with prescribed Gram matrix.
+def _signed(xs: Sequence[Fraction], w: int, scale: int = 1) -> list[list[int]]:
+    """scale * xs as integers, with its negative when a symmetric sweep
+    visited the +-pair once (w == 2)."""
+    x = [int(v * scale) for v in xs]
+    return [x, [-v for v in x]] if w == 2 else [x]
 
-    Slot k is reduced to a norm-equation in the affine sublattice cut out
-    by the inner-product constraints against the already chosen vectors,
-    so each level reuses the rank-reduced Fincke-Pohst engine.
+
+def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Pair every integer vector X with its image G X."""
+    return [(x, [sum(map(mul, row, x)) for row in gram]) for x in vectors]
+
+
+def _tuple_search(rows, shells: Sequence[list], unit: int, budget: _Budget) -> int:
+    """Number of tuples (x_1..x_r), x_k from shells[k], with Gram matrix rows.
+
+    Shell entries are (X, G X) with X = s*x integral for one common scale
+    s, and unit = s^2, so (x_i, x_k) = T_ik iff X_k . (G X_i) = T_ik * unit.
+    Each chosen vector filters the candidates of every later slot by that
+    integer dot product; the last slot is counted, not visited.  Every
+    candidate check spends one unit of the budget.
     """
-    rows = _validate_target(target)
-    if not _target_is_psd(rows):
-        return
-    _check_posdef(lat)
     r = len(rows)
-    n = lat.rank
-    shifts = _tuple_cosets(lat, r, cosets)
-    G = _gram_rows(lat)
 
-    def rec(chosen: list[Vector]):
-        k = len(chosen)
-        if k == r:
-            leaf(chosen)
-            return
-        t_k = Fraction(rows[k][k])
-        shift = shifts[k]
-        if k == 0:
-            def visit(xs, _w):
-                rec(chosen + [tuple(xs)])
-            _sweep_eq(lat.gram, shift, t_k, visit, False)
-            return
-        # integer model of the constraints (x, chosen_i) = T[i][k]
-        a_rows: list[list[int]] = []
-        rhs: list[int] = []
-        for i, ci in enumerate(chosen):
-            w = [sum(G[a][b] * ci[a] for a in range(n)) for b in range(n)]
-            b = Fraction(rows[i][k]) - sum(w[j] * shift[j] for j in range(n))
-            den = b.denominator
-            for x in w:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            a_rows.append([int(x * den) for x in w])
-            rhs.append(int(b * den))
-        vp = linalg.solve_integer(a_rows, rhs)
-        if vp is None:
-            return
-        kernel = linalg.integer_kernel(a_rows, cols=n)
-        x0 = [shift[j] + vp[j] for j in range(n)]
-        if not kernel:
-            if lat.norm(x0) == t_k:
-                rec(chosen + [tuple(x0)])
-            return
-        s = len(kernel)
-        nk = [[Fraction(kernel[a][j]) for a in range(s)] for j in range(n)]  # n x s
-        gs = [[sum(kernel[a][i] * lat.gram[i][j] * kernel[b][j]
-                   for i in range(n) for j in range(n))
-               for b in range(s)] for a in range(s)]
-        rhs2 = [sum(Fraction(kernel[a][i]) * G[i][j] * x0[j]
-                    for i in range(n) for j in range(n)) for a in range(s)]
-        w_vec = linalg.solve(gs, rhs2)
-        assert w_vec is not None
-        q0 = sum(x0[i] * G[i][j] * x0[j] for i in range(n) for j in range(n))
-        wgw = sum(w_vec[a] * gs[a][b] * w_vec[b] for a in range(s) for b in range(s))
-        resid = t_k - q0 + wgw
+    def rec(k: int, cands: list[list]) -> int:
+        if len(cands) <= 1:
+            return len(cands[0]) if cands else 1
+        rest = cands[1:]
+        wants = [rows[k][j] * unit for j in range(k + 1, r)]
+        total = 0
+        for _x, gx in cands[0]:
+            budget.spend(sum(map(len, rest)))
+            kept = [[e for e in c if sum(map(mul, e[0], gx)) == w]
+                    for c, w in zip(rest, wants)]
+            if all(kept):
+                total += rec(k + 1, kept)
+        return total
 
-        def visit2(ys, _w):
-            u = [ys[a] - w_vec[a] for a in range(s)]
-            x = tuple(x0[j] + sum(nk[j][a] * u[a] for a in range(s))
-                      for j in range(n))
-            rec(chosen + [x])
-
-        _sweep_eq(gs, w_vec, resid, visit2, False)
-
-    rec([])
+    return rec(0, list(shells))
 
 
 def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> int:
-    """Number of r-tuples in the prescribed cosets with Gram matrix = target."""
-    total = 0
+    """Number of r-tuples in the prescribed cosets with Gram matrix = target.
 
-    def leaf(_chosen):
-        nonlocal total
-        total += 1
-
-    _tuple_search(lat, target, cosets, leaf)
-    return total
-
-
-def naive_stratum_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> int:
-    """Tuples with Gram matrix = target whose span has dimension rank(target).
-
-    For positive definite lattices the span condition is automatic, but it
-    is checked literally here.
+    Each slot's shell {x in L + h_k : Q(x) = T_kk} is enumerated once
+    (slots with the same norm and coset share it) and filtered by
+    _tuple_search.
     """
     rows = _validate_target(target)
-    p, q, _z = linalg.inertia(rows)
-    wanted = p + q
-    total = 0
+    if not _target_is_psd(rows):
+        return 0
+    _check_posdef(lat)
+    shifts = _tuple_cosets(lat, len(rows), cosets)
+    scale = math.lcm(1, *(x.denominator for h in shifts for x in h))
+    budget = _Budget(_enum_limit())
+    shells: dict[tuple, list] = {}
+    keys = [(rows[k][k], tuple(h)) for k, h in enumerate(shifts)]
+    for t, h in keys:
+        if (t, h) not in shells:
+            found: list[list[int]] = []
+            _sweep_eq(lat.gram, h, Fraction(t),
+                      lambda xs, w: found.extend(_signed(xs, w, scale)),
+                      not any(h), budget)
+            shells[t, h] = _shell(lat.gram, found)
+    return _tuple_search(rows, [shells[key] for key in keys], scale * scale, budget)
 
-    def leaf(chosen):
-        nonlocal total
-        if linalg.rank([list(x) for x in chosen]) == wanted:
-            total += 1
 
-    _tuple_search(lat, target, cosets, leaf)
-    return total
+def _zero_coset_tuple_counts(lat: Lattice, targets: Sequence, bound: int) -> list[int]:
+    """tuple_rep_count(lat, T) for validated targets T with diagonal <= bound,
+    from one bound scan whose vectors are grouped into shells by norm."""
+    budget = _Budget(_enum_limit())
+    by_norm: dict[Fraction, list[list[int]]] = {}
+    _sweep(lat.gram, [Fraction(0)] * lat.rank, Fraction(bound),
+           lambda xs, norm, w: by_norm.setdefault(norm, []).extend(_signed(xs, w)),
+           True, budget)
+    shells = {t: _shell(lat.gram, vs) for t, vs in by_norm.items()}
+    return [_tuple_search(t, [shells.get(t[k][k], []) for k in range(len(t))], 1, budget)
+            for t in targets]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .enumeration import norm_histogram, tuple_rep_count, _validate_target
+from .enumeration import _zero_coset_tuple_counts, norm_histogram
 from .errors import InvalidTau, UnsupportedWeight
 from .lattice import Lattice, Vector, discriminant_group
 
@@ -227,14 +227,17 @@ def _psd_targets(r: int, bound: int):
 
 
 def siegel_theta_table(lat: Lattice, r: int, bound: int) -> FourierTable:
-    """Tuple counts for every psd Gram target of trace <= bound (zero coset)."""
+    """Tuple counts for every psd Gram target of trace <= bound (zero coset).
+
+    The lattice vectors of norm <= bound are enumerated once and shared by
+    every target's count.
+    """
     if r < 1:
         raise ValueError("genus must be at least 1")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    entries = []
-    for target, rk in _psd_targets(r, int(bound)):
-        _validate_target(target)
-        entries.append((target, rk, tuple_rep_count(lat, target)))
+    targets = list(_psd_targets(r, int(bound)))
+    counts = _zero_coset_tuple_counts(lat, [t for t, _rk in targets], int(bound))
+    entries = [(t, rk, c) for (t, rk), c in zip(targets, counts)]
     zero = tuple(tuple(Fraction(0) for _ in range(lat.rank)) for _ in range(r))
     return FourierTable(genus=r, bound=int(bound), entries=tuple(entries), coset=zero)

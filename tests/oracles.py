@@ -114,19 +114,33 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-def box_tuple_count(lat: Lattice, target) -> int:
-    """Number of r-tuples of lattice vectors with the given mutual Gram."""
+def box_tuple_count(lat: Lattice, target, cosets=None) -> int:
+    """Number of r-tuples (x_1..x_r), x_k in L + cosets[k] (L by default),
+    with the given mutual Gram, by a box sweep per slot."""
     target = [[Fraction(v) for v in row] for row in target]
     r = len(target)
-    cap = max(row[i] for i, row in enumerate(target))
-    radii = _box_radii(lat, cap)
-    points = list(itertools.product(*[range(-s, s + 1) for s in radii]))
+    slots = []
+    for k in range(r):
+        h = cosets[k] if cosets else None
+        shift = [Fraction(v) for v in (h or [0] * lat.rank)]
+        # integer coordinates q*(x + shift), so norms are checked in integers
+        q = math.lcm(*(s.denominator for s in shift))
+        radii = _box_radii(lat, target[k][k])
+        ranges = [range(-c - math.ceil(abs(s)), c + math.ceil(abs(s)) + 1)
+                  for c, s in zip(radii, shift)]
+        slot = []
+        for x in itertools.product(*ranges):
+            v = [int(q * (a + s)) for a, s in zip(x, shift)]
+            if sum(v[i] * lat.gram[i][j] * v[j] for i in range(lat.rank)
+                   for j in range(lat.rank)) == target[k][k] * q * q:
+                slot.append(tuple(Fraction(a, q) for a in v))
+        slots.append(slot)
     count = 0
-    for combo in itertools.product(points, repeat=r):
+    for combo in itertools.product(*slots):
         if all(
             lat.inner(combo[i], combo[j]) == target[i][j]
             for i in range(r)
-            for j in range(i, r)
+            for j in range(i + 1, r)
         ):
             count += 1
     return count

@@ -1,5 +1,7 @@
 """Exact vector enumeration against brute-force box sweeps."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,11 @@ from k3cycles.enumeration import (
     norm_histogram,
     rep_count,
     tuple_rep_count,
-    naive_stratum_count,
 )
 from k3cycles.lattice import Lattice, direct_sum, e8_lattice, root_a1
 
 
-def posdef_lattices(rank_max=3):
+def posdef_lattices(rank_max=3, rank_min=1):
     """Random A'A + I style positive definite integer Gram matrices."""
 
     def build(data):
@@ -38,13 +39,41 @@ def posdef_lattices(rank_max=3):
         return Lattice(tuple(tuple(row) for row in gram))
 
     return st.tuples(
-        st.integers(1, rank_max),
+        st.integers(rank_min, rank_max),
         st.lists(
             st.lists(st.integers(-2, 2), min_size=rank_max, max_size=rank_max),
             min_size=rank_max,
             max_size=rank_max,
         ),
     ).map(build)
+
+
+# D4 with basis (1,-1,0,0), (0,1,-1,0), (0,0,1,-1), (0,0,1,1) of Z^4
+D4 = Lattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+A1A1 = direct_sum(root_a1(), root_a1())
+
+
+@st.composite
+def coset_tuple_cases(draw):
+    """A lattice, a psd integer target of genus 1-2 and trace <= 6, and per
+    slot the trivial coset or a dual coset G^-1 e (on D4 these include
+    the spinor cosets, on A1+A1 the half-vectors)."""
+    lat = draw(st.one_of(posdef_lattices(rank_min=2), st.sampled_from((D4, A1A1))))
+    n = lat.rank
+    inv = oracles.inverse(lat.gram)
+    r = draw(st.integers(1, 2))
+    cosets = []
+    for _ in range(r):
+        e = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        trivial = draw(st.booleans())
+        cosets.append(None if trivial else
+                      tuple(sum(inv[i][j] * e[j] for j in range(n)) for i in range(n)))
+    a = draw(st.integers(0, 6))
+    if r == 1:
+        return lat, ((a,),), cosets
+    b = draw(st.integers(0, 6 - a))
+    c = draw(st.integers(-math.isqrt(a * b), math.isqrt(a * b)))
+    return lat, ((a, c), (c, b)), cosets
 
 
 class TestRepCount:
@@ -102,7 +131,7 @@ class TestTupleCount:
     def test_matches_naive(self):
         lat = direct_sum(root_a1(), root_a1())
         for target in (((2, 0), (0, 2)), ((2, 2), (2, 4)), ((4, 0), (0, 2))):
-            assert tuple_rep_count(lat, target) == naive_stratum_count(lat, target)
+            assert tuple_rep_count(lat, target) == oracles.box_tuple_count(lat, target)
 
     def test_matches_box_oracle(self):
         lat = direct_sum(root_a1(), root_a1())
@@ -118,11 +147,55 @@ class TestTupleCount:
         e8 = e8_lattice()
         assert tuple_rep_count(e8, ((2,),)) == 240
 
+    @pytest.mark.parametrize(
+        "target, want", [(((2, 1), (1, 2)), 240 * 56), (((2, 0), (0, 2)), 240 * 126)]
+    )
+    def test_e8_pairs(self, target, want):
+        start = time.perf_counter()
+        assert tuple_rep_count(e8_lattice(), target) == want
+        assert time.perf_counter() - start < 1.0
+
+    def test_filter_budget(self, monkeypatch):
+        # the 240-vector root shell fits in the budget; its 240 x 240
+        # candidate checks do not
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "1000")
+        assert rep_count(e8_lattice(), 2) == 240
+        with pytest.raises(EnumerationLimitExceeded):
+            tuple_rep_count(e8_lattice(), ((2, 1), (1, 2)))
+
+    def test_fixed_cosets_match_box(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        spinors = ((half, 1, half, 1), (half, 1, 1, half))
+        # <9> + A1 with h = (1/3, 0): a coset of order 3 with integral
+        # norms, so L + h and L - h differ
+        lat9 = Lattice(((9, 0), (0, 2)))
+        for lat, target, cosets in (
+            (D4, ((3, 1), (1, 3)), (spinors[0], spinors[0])),
+            (D4, ((1, 1), (1, 5)), (spinors[1], spinors[1])),
+            (D4, ((3, 0), (0, 2)), (spinors[0], None)),
+            (D4, ((3, 1), (1, 2)), (spinors[0], None)),
+            (lat9, ((4,),), ((third, 0),)),
+            (lat9, ((4, -2), (-2, 3)), ((third, 0), (third, 0))),
+            (lat9, ((1, 2), (2, 4)), ((third, 0), (2 * third, 0))),
+        ):
+            want = oracles.box_tuple_count(lat, target, cosets)
+            assert want > 0
+            assert tuple_rep_count(lat, target, cosets) == want
+
 
 @settings(max_examples=25, deadline=None)
 @given(posdef_lattices(), st.integers(0, 12))
 def test_rep_count_matches_box(lat, t):
     assert rep_count(lat, t) == oracles.box_count(lat, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_tuple_cases())
+def test_tuple_count_matches_box(case):
+    lat, target, cosets = case
+    assert tuple_rep_count(lat, target, cosets) == oracles.box_tuple_count(
+        lat, target, cosets
+    )
 
 
 @settings(max_examples=15, deadline=None)

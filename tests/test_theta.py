@@ -113,3 +113,31 @@ class TestSiegelTable:
         assert table.rank_of(((2, 0), (0, 2))) == 2
         # inner products in diag(2,2) are even, so (x,y)=1 never happens
         assert table.count(((2, 1), (1, 2))) == 0
+
+
+def d16_plus() -> Lattice:
+    """D16+ = D16 + Z g, g = (1/2, ..., 1/2), from the D16 simple roots
+    b_i = e_i - e_{i+1} (i < 16), b_16 = e_15 + e_16.
+
+    g, b_2, ..., b_16 is a basis: b_1 = 2g + (a vector of D15 on the last
+    fifteen coordinates).
+    """
+    n = 16
+    roots = [[int(k == i) - int(k == i + 1) for k in range(n)] for i in range(n - 1)]
+    roots.append([int(k >= n - 2) for k in range(n)])
+    basis = [[Fraction(1, 2)] * n] + roots[1:]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    assert all(x.denominator == 1 for row in gram for x in row)
+    return Lattice(tuple(tuple(int(x) for x in row) for row in gram))
+
+
+def test_witt_e8e8_d16_plus_genus2():
+    """E8+E8 and D16+ are not isometric, but their Siegel theta series
+    agree through genus 3 (Witt; Igusa): check genus 2 to trace 4."""
+    d16 = d16_plus()
+    assert d16.det == 1 and d16.even
+    e8e8 = siegel_theta_table(direct_sum(e8_lattice(), e8_lattice()), 2, 4)
+    table = siegel_theta_table(d16, 2, 4)
+    assert table.entries == e8e8.entries
+    assert e8e8.count(((2, 1), (1, 2))) == 480 * 56
+    assert e8e8.count(((4, 0), (0, 0))) == 61920
