@@ -1,11 +1,17 @@
 """Exact lattice point enumeration for positive definite Gram matrices.
 
-The engine is a rational Fincke-Pohst recursion: the form is split as
-Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 by an exact LDL
-decomposition, coordinates are chosen from the last to the first, and the
-admissible integer window at each level is derived from exact rational
-square-root floors, never from floating point.  Coset shifts are allowed,
-so norms and targets may be non-integral rationals.
+The engine is one integer Fincke-Pohst recursion.  An exact LDL split
+Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 is scaled once per call to
+integer rows a_ij and weights W_i with K Q(x) = sum_i W_i (a_i . x)^2, and
+coordinates are scaled by the denominator D of the coset shift, so every
+norm is an integer N = K D^2 Q(x).  Coordinates are chosen from the last
+to the first, each level's window is an exact math.isqrt, and no floating
+point or Fraction arithmetic happens inside the recursion.  The recursion
+either scans Q(x) <= bound or, in exact mode, visits only Q(x) = target,
+solving W_0 y^2 = remainder at the last level instead of scanning it.
+Every node visited spends one unit of the K3CYCLES_ENUM_LIMIT budget.
+Coset shifts are allowed, so norms and targets may be non-integral
+rationals; Fraction appears only when converting at the public edge.
 
 Counting paths exploit the x -> -x symmetry when the coset is trivial.
 
@@ -56,50 +62,25 @@ def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
-def _sqrt_floor(q: Fraction) -> int:
-    return math.isqrt(q.numerator * q.denominator) // q.denominator
+def _integer_form(gram) -> tuple[list[list[int]], list[int], int]:
+    """Integer data (a, W, K) of the LDL split, with
+    K Q(x) = sum_i W_i (sum_{j>=i} a_ij x_j)^2.
+
+    Row i of u is scaled by the lcm e_i of its denominators (a_ii = e_i),
+    W_i = K d_i / e_i^2 and K is the lcm of the denominators of d_i / e_i^2.
+    Raises IndefiniteLattice unless Q > 0.
+    """
+    d, u = _ldl(gram)
+    n = len(d)
+    e = [math.lcm(1, *(v.denominator for v in row)) for row in u]
+    rows = [[e[i] if j == i else int(e[i] * u[i][j]) for j in range(n)] for i in range(n)]
+    ratios = [d[i] / (e[i] * e[i]) for i in range(n)]
+    k = math.lcm(1, *(q.denominator for q in ratios))
+    return rows, [int(k * q) for q in ratios], k
 
 
-def _floor_plus_sqrt(beta: Fraction, rad: Fraction) -> int:
-    """floor(beta + sqrt(rad)), exact."""
-    s = beta.__floor__() + _sqrt_floor(rad)
-    for m in (s + 1, s):
-        diff = m - beta
-        if diff <= 0 or diff * diff <= rad:
-            return m
-    return s  # s always qualifies; kept for clarity
-
-
-def _ceil_minus_sqrt(beta: Fraction, rad: Fraction) -> int:
-    """ceil(beta - sqrt(rad)), exact."""
-    t = beta.__ceil__() - _sqrt_floor(rad) - 1
-    for m in (t, t + 1):
-        diff = beta - m
-        if diff <= 0 or diff * diff <= rad:
-            return m
-    return t + 1
-
-
-def _window(alpha: Fraction, rad: Fraction) -> tuple[int, int]:
-    """Integers m with (m + alpha)^2 <= rad, as an inclusive range."""
-    if rad < 0:
-        return 1, 0
-    beta = -alpha
-    return _ceil_minus_sqrt(beta, rad), _floor_plus_sqrt(beta, rad)
-
-
-def _frac_part(v: Sequence[Fraction]) -> list[Fraction]:
-    return [x - x.__floor__() for x in v]
-
-
-def _sqrt_exact(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _denominator(shift: Sequence[Fraction]) -> int:
+    return math.lcm(1, *(x.denominator for x in shift))
 
 
 class _Budget:
@@ -116,114 +97,63 @@ class _Budget:
 
 
 def _sweep(
-    gram,
+    form,
     shift: Sequence[Fraction],
     bound: Fraction,
-    visit: Callable[[list[Fraction], Fraction, int], None],
+    visit: Callable[[list[int], int, int], None],
     symmetric: bool,
     budget: Optional[_Budget] = None,
-) -> None:
-    """Call visit(coords, norm, weight) for x in Z^n + shift, Q(x) <= bound.
+    exact: bool = False,
+) -> int:
+    """Call visit(X, N, weight) for x in Z^n + shift with Q(x) <= bound
+    (Q(x) == bound if exact), where X = D x is integral for the denominator
+    D of shift and N = K D^2 Q(x) is the integer norm; return K D^2.
 
-    With symmetric=True (only valid for a trivial coset) each x is visited
-    once per +-pair with weight 2, and the zero vector with weight 1.
+    Every window is an exact isqrt; in exact mode the last level solves
+    W_0 y^2 = left instead of scanning.  Each node spends one unit of the
+    budget.  With symmetric=True (only valid for a trivial coset) each x is
+    visited once per +-pair with weight 2, and the zero vector with weight 1.
     """
-    n = len(gram)
-    if n == 0:
-        if bound >= 0:
-            visit([], Fraction(0), 1)
-        return
-    d, u = _ldl(gram)
-    shift = [Fraction(s) for s in shift]
+    rows, weights, k = form
+    n = len(weights)
+    den = _denominator(shift)
+    unit = k * den * den
+    cap = bound * unit
+    if cap < 0 or (exact and cap.denominator != 1):
+        return unit
+    top = cap.__floor__()
+    lift = [int(h * den) for h in shift]
     if budget is None:
         budget = _Budget(_enum_limit())
-    xs: list[Fraction] = [Fraction(0)] * n
+    xs = [0] * n
 
-    def rec(i: int, used: Fraction, zero_prefix: bool):
+    def rec(i: int, left: int, zero_prefix: bool):
+        budget.spend()
         if i < 0:
-            budget.spend()
-            visit(xs, used, 2 if (symmetric and not zero_prefix) else 1)
+            if not (exact and left):
+                visit(xs, top - left, 2 if (symmetric and not zero_prefix) else 1)
             return
-        c = Fraction(0)
-        ui = u[i]
-        for j in range(i + 1, n):
-            if ui[j] != 0 and xs[j] != 0:
-                c += ui[j] * xs[j]
-        alpha = shift[i] + c
-        lo, hi = _window(alpha, (bound - used) / d[i])
-        if symmetric and zero_prefix and lo < 0:
-            lo = 0
-        for m in range(lo, hi + 1):
-            x = m + shift[i]
-            xs[i] = x
-            term = d[i] * (x + c) * (x + c)
-            rec(i - 1, used + term, zero_prefix and x == 0)
-        xs[i] = Fraction(0)
-
-    rec(n - 1, Fraction(0), True)
-
-
-def _sweep_eq(
-    gram,
-    shift: Sequence[Fraction],
-    target: Fraction,
-    visit: Callable[[list[Fraction], int], None],
-    symmetric: bool,
-    budget: Optional[_Budget] = None,
-) -> None:
-    """Like _sweep but with Q(x) = target exactly; the innermost level is
-    solved as a quadratic equation instead of scanned."""
-    n = len(gram)
-    if n == 0:
-        if target == 0:
-            visit([], 1)
-        return
-    if target < 0:
-        return
-    d, u = _ldl(gram)
-    shift = [Fraction(s) for s in shift]
-    if budget is None:
-        budget = _Budget(_enum_limit())
-    xs: list[Fraction] = [Fraction(0)] * n
-
-    def base(c: Fraction, remaining: Fraction, zero_prefix: bool):
-        # d0 (x0 + c)^2 = remaining with x0 in Z + shift0
-        root = _sqrt_exact(remaining / d[0])
-        if root is None:
-            return
-        vals = (root,) if root == 0 else (root, -root)
-        for r in vals:
-            x = r - c
-            if (x - shift[0]).denominator != 1:
+        row, w, h = rows[i], weights[i], lift[i]
+        # y = e_i X_i + sum_{j>i} a_ij X_j = step * m + b for X_i = h + den * m
+        step = row[i] * den
+        b = row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
+        if exact and i == 0:
+            q, rest = divmod(left, w)
+            r = math.isqrt(q)
+            roots = () if rest or r * r != q else (-r, r) if r else (0,)
+            ms = [(y - b) // step for y in roots if (y - b) % step == 0]
+        else:
+            r = math.isqrt(left // w)
+            ms = range(-((r + b) // step), (r - b) // step + 1)
+        for m in ms:
+            if symmetric and zero_prefix and m < 0:
                 continue
-            if symmetric and zero_prefix and x < 0:
-                continue
-            budget.spend()
-            xs[0] = x
-            visit(xs, 2 if (symmetric and not (zero_prefix and x == 0)) else 1)
-        xs[0] = Fraction(0)
+            y = step * m + b
+            xs[i] = h + den * m
+            rec(i - 1, left - w * y * y, zero_prefix and xs[i] == 0)
 
-    def rec(i: int, used: Fraction, zero_prefix: bool):
-        c = Fraction(0)
-        ui = u[i]
-        for j in range(i + 1, n):
-            if ui[j] != 0 and xs[j] != 0:
-                c += ui[j] * xs[j]
-        if i == 0:
-            base(c, target - used, zero_prefix)
-            return
-        alpha = shift[i] + c
-        lo, hi = _window(alpha, (target - used) / d[i])
-        if symmetric and zero_prefix and lo < 0:
-            lo = 0
-        for m in range(lo, hi + 1):
-            x = m + shift[i]
-            xs[i] = x
-            term = d[i] * (x + c) * (x + c)
-            rec(i - 1, used + term, zero_prefix and x == 0)
-        xs[i] = Fraction(0)
-
-    rec(n - 1, Fraction(0), True)
+    rec(n - 1, top, True)
+    return unit
 
 
 def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
@@ -232,41 +162,32 @@ def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
     hv = as_vector(h)
     if len(hv) != lat.rank:
         raise ValueError("coset vector length does not match lattice rank")
-    return _frac_part(hv)
-
-
-def _check_posdef(lat: Lattice) -> None:
-    _ldl(lat.gram)
+    return [x - x.__floor__() for x in hv]
 
 
 def enumerate_vectors(lat: Lattice, t, h: Optional[Sequence] = None) -> list[Vector]:
     """All x in L + h with (x, x) = t, in lexicographic coordinate order."""
     t = Fraction(t)
     shift = _normalized_shift(lat, h)
-    _check_posdef(lat)
-    if t < 0:
-        return []
-    out: list[Vector] = []
-    _sweep_eq(lat.gram, shift, t, lambda xs, w: out.append(tuple(xs)), False)
+    out: list[tuple[int, ...]] = []
+    _sweep(_integer_form(lat.gram), shift, t,
+           lambda xs, _n, _w: out.append(tuple(xs)), False, exact=True)
     out.sort()
-    return out
+    den = _denominator(shift)
+    return [tuple(Fraction(v, den) for v in xs) for xs in out]
 
 
 def rep_count(lat: Lattice, t, h: Optional[Sequence] = None) -> int:
     """Number of x in L + h with (x, x) = t; zero for negative t."""
     t = Fraction(t)
     shift = _normalized_shift(lat, h)
-    _check_posdef(lat)
-    if t < 0:
-        return 0
-    symmetric = all(s == 0 for s in shift)
     total = 0
 
-    def visit(_xs, w):
+    def visit(_xs, _n, w):
         nonlocal total
         total += w
 
-    _sweep_eq(lat.gram, shift, t, visit, symmetric)
+    _sweep(_integer_form(lat.gram), shift, t, visit, not any(shift), exact=True)
     return total
 
 
@@ -274,15 +195,13 @@ def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction,
     """Counts of every norm value <= bound in L + h, keyed exactly."""
     bound = Fraction(bound)
     shift = _normalized_shift(lat, h)
-    _check_posdef(lat)
-    symmetric = all(s == 0 for s in shift)
-    counts: dict[Fraction, int] = {}
+    counts: dict[int, int] = {}
 
     def visit(_xs, norm, w):
         counts[norm] = counts.get(norm, 0) + w
 
-    _sweep(lat.gram, shift, bound, visit, symmetric)
-    return counts
+    unit = _sweep(_integer_form(lat.gram), shift, bound, visit, not any(shift))
+    return {Fraction(norm, unit): c for norm, c in counts.items()}
 
 
 def _validate_target(target) -> tuple[tuple[int, ...], ...]:
@@ -314,10 +233,10 @@ def _tuple_cosets(lat: Lattice, r: int, cosets: Optional[Sequence]) -> list[list
     return [_normalized_shift(lat, h) for h in cosets]
 
 
-def _signed(xs: Sequence[Fraction], w: int, scale: int = 1) -> list[list[int]]:
-    """scale * xs as integers, with its negative when a symmetric sweep
-    visited the +-pair once (w == 2)."""
-    x = [int(v * scale) for v in xs]
+def _signed(xs: Sequence[int], w: int, scale: int = 1) -> list[list[int]]:
+    """scale * xs, with its negative when a symmetric sweep visited the
+    +-pair once (w == 2)."""
+    x = [v * scale for v in xs]
     return [x, [-v for v in x]] if w == 2 else [x]
 
 
@@ -364,18 +283,19 @@ def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> 
     rows = _validate_target(target)
     if not _target_is_psd(rows):
         return 0
-    _check_posdef(lat)
+    form = _integer_form(lat.gram)
     shifts = _tuple_cosets(lat, len(rows), cosets)
-    scale = math.lcm(1, *(x.denominator for h in shifts for x in h))
+    scale = math.lcm(1, *map(_denominator, shifts))
     budget = _Budget(_enum_limit())
     shells: dict[tuple, list] = {}
     keys = [(rows[k][k], tuple(h)) for k, h in enumerate(shifts)]
     for t, h in keys:
         if (t, h) not in shells:
             found: list[list[int]] = []
-            _sweep_eq(lat.gram, h, Fraction(t),
-                      lambda xs, w: found.extend(_signed(xs, w, scale)),
-                      not any(h), budget)
+            factor = scale // _denominator(h)
+            _sweep(form, h, Fraction(t),
+                   lambda xs, _n, w: found.extend(_signed(xs, w, factor)),
+                   not any(h), budget, exact=True)
             shells[t, h] = _shell(lat.gram, found)
     return _tuple_search(rows, [shells[key] for key in keys], scale * scale, budget)
 
@@ -384,10 +304,11 @@ def _zero_coset_tuple_counts(lat: Lattice, targets: Sequence, bound: int) -> lis
     """tuple_rep_count(lat, T) for validated targets T with diagonal <= bound,
     from one bound scan whose vectors are grouped into shells by norm."""
     budget = _Budget(_enum_limit())
-    by_norm: dict[Fraction, list[list[int]]] = {}
-    _sweep(lat.gram, [Fraction(0)] * lat.rank, Fraction(bound),
-           lambda xs, norm, w: by_norm.setdefault(norm, []).extend(_signed(xs, w)),
-           True, budget)
-    shells = {t: _shell(lat.gram, vs) for t, vs in by_norm.items()}
-    return [_tuple_search(t, [shells.get(t[k][k], []) for k in range(len(t))], 1, budget)
+    by_norm: dict[int, list[list[int]]] = {}
+    norm_unit = _sweep(_integer_form(lat.gram), [Fraction(0)] * lat.rank, Fraction(bound),
+                       lambda xs, norm, w: by_norm.setdefault(norm, []).extend(_signed(xs, w)),
+                       True, budget)
+    shells = {norm: _shell(lat.gram, vs) for norm, vs in by_norm.items()}
+    return [_tuple_search(t, [shells.get(t[k][k] * norm_unit, []) for k in range(len(t))], 1,
+                          budget)
             for t in targets]

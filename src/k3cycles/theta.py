@@ -46,25 +46,9 @@ def _expansion(weight: Fraction, bound: Fraction, coeffs: Mapping) -> QExpansion
     return QExpansion(weight=weight, bound=Fraction(bound), coeffs=items)
 
 
-@lru_cache(maxsize=128)
-def _hist_cached(gram: tuple, shift: tuple, bound: Fraction) -> tuple:
-    lat = Lattice(gram)
-    h = list(shift) if shift else None
-    return tuple(sorted(norm_histogram(lat, h, bound).items()))
-
-
-def _histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction, int]:
-    shift: tuple = ()
-    if h is not None:
-        frac = tuple(Fraction(x) - Fraction(x).__floor__() for x in h)
-        if any(frac):
-            shift = frac
-    return dict(_hist_cached(lat.gram, shift, Fraction(bound)))
-
-
 def theta_coeffs(lat: Lattice, h: Optional[Sequence] = None, bound=10) -> QExpansion:
     """Norm-counting q-expansion of L + h up to the exponent bound."""
-    hist = _histogram(lat, h, bound)
+    hist = norm_histogram(lat, h, bound)
     return _expansion(Fraction(lat.rank, 2), Fraction(bound), hist)
 
 
@@ -148,7 +132,7 @@ def theta_value(lat: Lattice, h: Optional[Sequence], tau: complex, bound) -> The
     """Truncated numerical theta value with a tail bound report."""
     tau = _require_upper_half(tau)
     bound = Fraction(bound)
-    hist = _histogram(lat, h, bound)
+    hist = norm_histogram(lat, h, bound)
     return ThetaValue(
         value=_theta_sum(hist, tau),
         tail_bound=_tail_bound(lat, bound, tau),
@@ -167,10 +151,11 @@ def theta_transform_check(lat: Lattice, tau: complex, bound) -> float:
     tau = _require_upper_half(tau)
     bound = Fraction(bound)
     disc = discriminant_group(lat)
-    lhs = _theta_sum(_histogram(lat, None, bound), -1.0 / tau)
+    zero = norm_histogram(lat, None, bound)
+    lhs = _theta_sum(zero, -1.0 / tau)
     coset_sum = complex(0.0)
     for h in disc.elements():
-        coset_sum += _theta_sum(_histogram(lat, h, bound), tau)
+        coset_sum += _theta_sum(norm_histogram(lat, h, bound) if any(h) else zero, tau)
     factor = (tau / 1j) ** (lat.rank / 2.0)
     rhs = factor * coset_sum / math.sqrt(disc.order)
     return abs(lhs - rhs)

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -110,6 +110,15 @@ class TestRepCount:
         with pytest.raises(EnumerationLimitExceeded):
             rep_count(e8_lattice(), 100)
 
+    def test_budget_counts_nodes_without_solutions(self, monkeypatch):
+        # E8 is even, so norm 41 has no vectors; the nodes visited on the
+        # way must still exhaust the budget
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "1000")
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitExceeded):
+            rep_count(e8_lattice(), 41)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestHistogram:
     def test_matches_box_a1a1(self):
@@ -120,6 +129,13 @@ class TestHistogram:
         lat = direct_sum(root_a1(), root_a1())
         h = (Fraction(1, 2), 0)
         assert norm_histogram(lat, h, 6) == oracles.box_histogram(lat, 6, h)
+
+    def test_e8_to_20_is_eisenstein_and_fast(self):
+        start = time.perf_counter()
+        hist = norm_histogram(e8_lattice(), None, 20)
+        assert time.perf_counter() - start < 3.0
+        want = {Fraction(2 * n): 240 * oracles.sigma(3, n) for n in range(1, 11)}
+        assert hist == {Fraction(0): 1, **want}
 
 
 class TestTupleCount:
@@ -202,3 +218,28 @@ def test_tuple_count_matches_box(case):
 @given(posdef_lattices(rank_max=2))
 def test_histogram_matches_box(lat):
     assert norm_histogram(lat, None, 8) == oracles.box_histogram(lat, 8)
+
+
+@st.composite
+def shifted_lattices(draw):
+    """A rank 2-5 lattice and a coset shift of denominator 2, 3 or 6."""
+    lat = draw(posdef_lattices(rank_max=5, rank_min=2))
+    den = draw(st.sampled_from((2, 3, 6)))
+    h = tuple(Fraction(draw(st.integers(0, den - 1)), den) for _ in range(lat.rank))
+    return lat, h
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_lattices())
+# order-3 cosets, where L + h and L - h differ
+@example((Lattice(((9, 0), (0, 2))), (Fraction(1, 3), Fraction(0))))
+@example((D4, (Fraction(1, 3), Fraction(2, 3), 0, Fraction(1, 3))))
+def test_exact_counts_match_bound_scan(case):
+    lat, h = case
+    for t, count in norm_histogram(lat, h, 8).items():
+        assert rep_count(lat, t, h) == count
+        vectors = enumerate_vectors(lat, t, h)
+        assert len(vectors) == count
+        for v in vectors:
+            assert lat.inner(v, v) == t
+            assert all((x - y).denominator == 1 for x, y in zip(v, h))
