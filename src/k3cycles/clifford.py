@@ -3,9 +3,11 @@
 Elements live in the 2^rank monomial basis e_S = e_{i_1}...e_{i_k} indexed
 by sorted subsets S of the basis (encoded as bitmasks), with rational
 coefficients.  Multiplication is generated by v.w + w.v = 2(v,w) and
-v.v = (v,v), reduced to normal form one generator at a time; the reduction
-table is memoized per Gram matrix, so repeated products on the same lattice
-are cheap.  Everything is exact: no floating point enters this module.
+v.v = (v,v), reduced to normal form one generator at a time.  An integral
+Gram matrix gives integer structure constants, so the reduction table and
+the monomial traces are plain ints, memoized per Gram matrix; Fraction
+appears only in element coefficients, traces of elements and the solve
+inside invert.  Everything is exact: no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -22,8 +25,6 @@ from .errors import AmbientMismatch, NotInvertible, RankLimitExceeded
 from .lattice import Lattice
 
 INVERSION_RANK_CAP = 12
-
-Terms = tuple[tuple[int, Fraction], ...]
 
 
 class GradedParity(Enum):
@@ -42,7 +43,7 @@ class CliffordElement:
     """
 
     ambient: Lattice
-    coeffs: Terms
+    coeffs: tuple[tuple[int, Fraction], ...]
 
     @cached_property
     def _map(self) -> dict[int, Fraction]:
@@ -57,10 +58,7 @@ class CliffordElement:
 
     def __add__(self, other: CliffordElement) -> CliffordElement:
         _same_ambient(self, other)
-        acc = dict(self.coeffs)
-        for mask, c in other.coeffs:
-            acc[mask] = acc.get(mask, Fraction(0)) + c
-        return element(self.ambient, acc)
+        return element(self.ambient, _combine(((1, self._map), (1, other._map))))
 
     def __sub__(self, other: CliffordElement) -> CliffordElement:
         return self + (-other)
@@ -119,90 +117,64 @@ def _same_ambient(x: CliffordElement, y: CliffordElement) -> None:
         raise AmbientMismatch("elements live in Clifford algebras of different lattices")
 
 
+def _combine(pairs: Iterable[tuple[object, Mapping[int, object]]]) -> dict[int, object]:
+    """The sum of c * terms over (c, terms) pairs, zero coefficients dropped."""
+    acc: dict[int, object] = {}
+    for c, terms in pairs:
+        for m, t in terms.items():
+            acc[m] = acc.get(m, 0) + c * t
+    return {m: v for m, v in acc.items() if v}
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class _GenTable:
-    """Memoized reduction of (normal monomial) * (single generator)."""
+    """Integer structure constants of C(L) for one integral Gram matrix."""
 
     def __init__(self, gram: tuple):
         self.gram = gram
-        self._memo: dict[tuple[int, int], Terms] = {}
-        self._tau: dict[int, Fraction] = {}
+        self._memo: dict[tuple[int, int], Mapping[int, int]] = {}
+        self._tau: dict[int, int] = {}
 
-    def gen(self, mask: int, j: int) -> Terms:
+    def gen(self, mask: int, j: int) -> Mapping[int, int]:
+        """e_mask * e_j in normal form, as a memoized read-only mapping."""
         key = (mask, j)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if mask == 0:
-            out: Terms = ((1 << j, Fraction(1)),)
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top) if mask else 0
+        if top < j:
+            out = {mask | (1 << j): 1}
+        elif top == j:
+            g = self.gram[j][j]
+            out = {rest: g} if g else {}
         else:
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            if top < j:
-                out = ((mask | (1 << j), Fraction(1)),)
-            elif top == j:
-                g = self.gram[j][j]
-                out = ((rest, Fraction(g)),) if g else ()
-            else:
-                # e_rest e_top e_j = 2(e_top,e_j) e_rest - (e_rest e_j) e_top,
-                # and every monomial of e_rest e_j has top bit < top.
-                acc: dict[int, Fraction] = {}
-                g = self.gram[top][j]
-                if g:
-                    acc[rest] = Fraction(2 * g)
-                for m, c in self.gen(rest, j):
-                    m2 = m | (1 << top)
-                    acc[m2] = acc.get(m2, Fraction(0)) - c
-                out = tuple(sorted((m, c) for m, c in acc.items() if c))
+            # e_rest e_top e_j = 2(e_top,e_j) e_rest - (e_rest e_j) e_top,
+            # and every monomial of e_rest e_j has top bit < top.
+            bit = 1 << top
+            moved = {m | bit: c for m, c in self.gen(rest, j).items()}
+            out = _combine(((2 * self.gram[top][j], {rest: 1}), (-1, moved)))
+        out = MappingProxyType(out)
         self._memo[key] = out
         return out
 
-    def mono(self, mx: int, my: int) -> Terms:
-        """Normal form of e_S * e_T for bitmasks S, T."""
-        terms: dict[int, Fraction] = {mx: Fraction(1)}
-        j = 0
-        while my:
-            if my & 1:
-                nxt: dict[int, Fraction] = {}
-                for m, c in terms.items():
-                    for m2, c2 in self.gen(m, j):
-                        v = nxt.get(m2, Fraction(0)) + c * c2
-                        if v:
-                            nxt[m2] = v
-                        elif m2 in nxt:
-                            del nxt[m2]
-                terms = nxt
-            my >>= 1
-            j += 1
-        return tuple(sorted(terms.items()))
+    def word(self, mask: int, gens: Iterable[int]) -> dict[int, int]:
+        """Normal form of e_mask * e_{g_1} * e_{g_2} * ... for the given g_i."""
+        terms = {mask: 1}
+        for j in gens:
+            terms = _combine((c, self.gen(m, j)) for m, c in terms.items())
+        return terms
 
-    def reversed_mono(self, mask: int) -> Terms:
-        """Normal form of the reversed product e_{i_k}...e_{i_1}."""
-        terms: dict[int, Fraction] = {0: Fraction(1)}
-        for j in reversed(range(mask.bit_length())):
-            if not mask >> j & 1:
-                continue
-            nxt: dict[int, Fraction] = {}
-            for m, c in terms.items():
-                for m2, c2 in self.gen(m, j):
-                    v = nxt.get(m2, Fraction(0)) + c * c2
-                    if v:
-                        nxt[m2] = v
-                    elif m2 in nxt:
-                        del nxt[m2]
-            terms = nxt
-        return tuple(sorted(terms.items()))
-
-    def tau(self, mask: int) -> Fraction:
+    def tau(self, mask: int) -> int:
         """Matrix trace of left multiplication by the monomial e_mask."""
         hit = self._tau.get(mask)
         if hit is None:
             n = 1 << len(self.gram)
-            hit = Fraction(0)
-            for t in range(n):
-                for m, c in self.mono(mask, t):
-                    if m == t:
-                        hit += c
-                        break
+            hit = sum(self.word(mask, _bits(t)).get(t, 0) for t in range(n))
             self._tau[mask] = hit
         return hit
 
@@ -216,17 +188,11 @@ def multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """The associative Clifford product in normal form."""
     _same_ambient(x, y)
     table = _table(x.ambient.gram)
-    acc: dict[int, Fraction] = {}
-    for mx, cx in x.coeffs:
-        for my, cy in y.coeffs:
-            c = cx * cy
-            for m, cm in table.mono(mx, my):
-                v = acc.get(m, Fraction(0)) + c * cm
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
-    return CliffordElement(x.ambient, tuple(sorted(acc.items())))
+    return element(x.ambient, _combine(
+        (cx * cy, table.word(mx, _bits(my)))
+        for mx, cx in x.coeffs
+        for my, cy in y.coeffs
+    ))
 
 
 def main_involution(x: CliffordElement) -> CliffordElement:
@@ -237,15 +203,9 @@ def main_involution(x: CliffordElement) -> CliffordElement:
     for non-orthogonal Gram matrices.
     """
     table = _table(x.ambient.gram)
-    acc: dict[int, Fraction] = {}
-    for mask, c in x.coeffs:
-        for m, cm in table.reversed_mono(mask):
-            v = acc.get(m, Fraction(0)) + c * cm
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-    return CliffordElement(x.ambient, tuple(sorted(acc.items())))
+    return element(x.ambient, _combine(
+        (c, table.word(0, _bits(mask)[::-1])) for mask, c in x.coeffs
+    ))
 
 
 def parity(x: CliffordElement) -> GradedParity:
@@ -290,20 +250,7 @@ def trace(x: CliffordElement) -> Fraction:
     trace(xy) = trace(yx) hold unconditionally.
     """
     table = _table(x.ambient.gram)
-    return sum((c * table.tau(mask) for mask, c in x.coeffs), Fraction(0))
-
-
-def _left_mul_matrix(x: CliffordElement) -> list[list[Fraction]]:
-    n = 1 << x.ambient.rank
-    table = _table(x.ambient.gram)
-    zero = Fraction(0)
-    cols = [[zero] * n for _ in range(n)]
-    for t in range(n):
-        col = cols[t]
-        for mx, cx in x.coeffs:
-            for m, cm in table.mono(mx, t):
-                col[m] += cx * cm
-    return [[cols[t][s] for t in range(n)] for s in range(n)]
+    return Fraction(sum(c * table.tau(mask) for mask, c in x.coeffs))
 
 
 def invert(x: CliffordElement) -> CliffordElement:
@@ -319,10 +266,11 @@ def invert(x: CliffordElement) -> CliffordElement:
         if c == 0:
             raise NotInvertible("the zero element has no inverse")
         return scalar_element(x.ambient, 1 / c)
-    mat = _left_mul_matrix(x)
-    rhs = [Fraction(0)] * (1 << rank)
-    rhs[0] = Fraction(1)
-    sol = linalg.solve(mat, rhs)
+    n = 1 << rank
+    table = _table(x.ambient.gram)
+    cols = [_combine((c, table.word(m, _bits(t))) for m, c in x.coeffs) for t in range(n)]
+    mat = [[col.get(s, 0) for col in cols] for s in range(n)]
+    sol = linalg.solve(mat, [int(s == 0) for s in range(n)])
     if sol is None:
         raise NotInvertible("left multiplication by this element is singular")
     return element(x.ambient, {m: c for m, c in enumerate(sol)})
@@ -362,7 +310,7 @@ def format_element(x: CliffordElement) -> str:
         return "0*e{}"
     out = ""
     for mask, c in x.coeffs:
-        idx = [str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
+        idx = [str(i + 1) for i in _bits(mask)]
         term = f"{abs(c)}*e{{{','.join(idx)}}}"
         if not out:
             out = ("-" if c < 0 else "") + term
@@ -380,7 +328,7 @@ def parse_element(lat: Lattice, text: str) -> CliffordElement:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty Clifford element")
-    acc: dict[int, Fraction] = {}
+    terms: list[tuple[Fraction, dict[int, int]]] = []
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
@@ -402,6 +350,6 @@ def parse_element(lat: Lattice, text: str) -> CliffordElement:
                 if mask & bit:
                     raise ValueError(f"repeated basis index {i} in monomial")
                 mask |= bit
-        acc[mask] = acc.get(mask, Fraction(0)) + coeff
+        terms.append((coeff, {mask: 1}))
         pos = m.end()
-    return element(lat, acc)
+    return element(lat, _combine(terms))

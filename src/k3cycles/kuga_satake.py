@@ -24,6 +24,7 @@ from .errors import (
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
+    RankLimitExceeded,
     UnsupportedSignature,
 )
 from .lattice import Lattice, Vector, as_vector, signature
@@ -31,6 +32,7 @@ from .lattice import Lattice, Vector, as_vector, signature
 Splitting = tuple[Sequence[Sequence], Sequence[Sequence]]
 
 ADJOINT_SAMPLES = 8
+KS_RANK_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -190,17 +192,23 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
         raise UnsupportedSignature(
             f"polarization certification needs signature (n, 2), got {tuple(sig)}"
         )
+    if lat.rank > KS_RANK_CAP:
+        raise RankLimitExceeded(
+            f"certification builds 2^{lat.rank} x 2^{lat.rank} forms; rank is "
+            f"capped at {KS_RANK_CAP}"
+        )
     a = polarizer(lat, splitting)
     j, c = j_element(z)
     n = 1 << lat.rank
     monos = [clifford.element(lat, {m: 1}) for m in range(n)]
     rev = [clifford.main_involution(e) for e in monos]
-    a_e = [clifford.multiply(a, e) for e in monos]
-    a_ej = [clifford.multiply(a, clifford.multiply(e, j)) for e in monos]
-    alt = [[clifford.trace(clifford.multiply(a_e[s], rev[t])) for t in range(n)]
-           for s in range(n)]
-    sym = [[clifford.trace(clifford.multiply(a_ej[s], rev[t])) for t in range(n)]
-           for s in range(n)]
+
+    def form(right: CliffordElement) -> list[list[Fraction]]:
+        left = [clifford.multiply(clifford.multiply(a, e), right) for e in monos]
+        return [[clifford.trace(clifford.multiply(x, y)) for y in rev] for x in left]
+
+    alt = form(clifford.scalar_element(lat, 1))
+    sym = form(j)
     alternating_ok = all(
         alt[s][t] == -alt[t][s] for s in range(n) for t in range(s, n)
     )
@@ -236,15 +244,10 @@ def special_endo_basis(lat: Lattice, z: PeriodPlane) -> tuple[Vector, ...]:
     """A saturated integral basis of the vectors orthogonal to the plane."""
     rows = []
     for zv in (z.z1, z.z2):
-        row = _clear_denominators(tuple(lat.inner(zv, unit) for unit in _units(lat)))
-        rows.append([int(x) for x in row])
+        gz = tuple(sum(g * x for g, x in zip(row, zv)) for row in lat.gram)
+        rows.append([int(x) for x in _clear_denominators(gz)])
     kernel = linalg.integer_kernel(rows, cols=lat.rank)
     return tuple(as_vector(v) for v in kernel)
-
-
-def _units(lat: Lattice):
-    for i in range(lat.rank):
-        yield tuple(int(i == j) for j in range(lat.rank))
 
 
 def special_endo_lattice(lat: Lattice, z: PeriodPlane) -> Lattice:

@@ -202,10 +202,10 @@ class TotallyRealField:
         return _sturm_chain(self._poly)
 
     @cached_property
-    def _intervals(self) -> list[list[Fraction]]:
-        """Current isolating intervals, ascending; refined in place."""
+    def _isolating(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The first isolating intervals of the real roots, ascending."""
         bound = Fraction(1 + max(abs(c) for c in self.poly))
-        found: list[list[Fraction]] = []
+        found: list[tuple[Fraction, Fraction]] = []
         stack = [(-bound, bound)]
         while stack:
             a, b = stack.pop()
@@ -214,13 +214,13 @@ class TotallyRealField:
                 continue
             if k == 1:
                 if _poly_eval(self._poly, b) == 0:
-                    found.append([b, b])
+                    found.append((b, b))
                 else:
-                    found.append([a, b])
+                    found.append((a, b))
                 continue
             m = (a + b) / 2
             if _poly_eval(self._poly, m) == 0:
-                found.append([m, m])
+                found.append((m, m))
                 delta = (b - a) / 4
                 while _count_roots(self._chain, m - delta, m + delta) != 1:
                     delta /= 2
@@ -230,7 +230,12 @@ class TotallyRealField:
                 stack.append((a, m))
                 stack.append((m, b))
         found.sort(key=lambda iv: iv[0])
-        return found
+        return tuple(found)
+
+    @cached_property
+    def _refined(self) -> list[list[Fraction]]:
+        """Working copies of the intervals, narrowed in place by sign_at."""
+        return [list(iv) for iv in self._isolating]
 
     def _validate_order(self) -> None:
         d = self.degree
@@ -322,11 +327,14 @@ class TotallyRealField:
         return inv
 
     def embeddings(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Current isolating intervals for the real roots, ascending."""
-        return tuple((iv[0], iv[1]) for iv in self._intervals)
+        """Isolating intervals for the real roots, ascending.
+
+        Always the intervals first isolated, whatever sign_at has refined.
+        """
+        return self._isolating
 
     def _refine(self, i: int) -> None:
-        iv = self._intervals[i]
+        iv = self._refined[i]
         lo, hi = iv
         if lo == hi:
             return
@@ -347,7 +355,7 @@ class TotallyRealField:
         if len(h) > 1 and self._root_of(i, h):
             return 0
         for _ in range(REFINEMENT_CAP):
-            lo, hi = self._intervals[i]
+            lo, hi = self._refined[i]
             vlo, vhi = _interval_eval(g, lo, hi)
             if vlo > 0:
                 return 1
@@ -359,7 +367,7 @@ class TotallyRealField:
         )
 
     def _root_of(self, i: int, h: Poly) -> bool:
-        lo, hi = self._intervals[i]
+        lo, hi = self._refined[i]
         if lo == hi:
             return _poly_eval(h, lo) == 0
         chain = _sturm_chain(h)

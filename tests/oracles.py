@@ -2,9 +2,10 @@
 
 Everything here favors obviousness over speed: rectangular boxes from
 the inverse Gram diagonal, itertools.product sweeps, divisor sums by
-trial division, and a plain Fraction Gauss-Jordan elimination as the
-reference for linalg.  Nothing imports from the enumeration, theta or
-linalg modules.
+trial division, a plain Fraction Gauss-Jordan elimination as the
+reference for linalg, and Clifford words normalized by adjacent
+rewriting.  Nothing imports from the enumeration, theta, linalg or
+clifford modules.
 """
 
 from __future__ import annotations
@@ -144,3 +145,55 @@ def box_tuple_count(lat: Lattice, target, cosets=None) -> int:
         ):
             count += 1
     return count
+
+
+def _word(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def clifford_word(gram, word) -> dict[int, Fraction]:
+    """Normal form (mask -> coefficient) of e_{w1} e_{w2} ... in C(gram),
+    by rewriting the leftmost adjacent pair that is out of order:
+    e_i e_j -> 2 G_ij - e_j e_i for i > j, and e_i e_i -> G_ii."""
+    out: dict[int, Fraction] = {}
+    stack = [(tuple(word), Fraction(1))]
+    while stack:
+        w, c = stack.pop()
+        k = next((k for k in range(len(w) - 1) if w[k] >= w[k + 1]), None)
+        if k is None:
+            mask = sum(1 << i for i in w)
+            out[mask] = out.get(mask, Fraction(0)) + c
+            continue
+        i, j = w[k], w[k + 1]
+        rest = w[:k] + w[k + 2:]
+        if i == j:
+            stack.append((rest, c * gram[i][i]))
+        else:
+            stack.append((rest, 2 * c * gram[i][j]))
+            stack.append((w[:k] + (j, i) + w[k + 2:], -c))
+    return {m: c for m, c in out.items() if c}
+
+
+def _clifford_sum(gram, terms) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for c, word in terms:
+        for m, v in clifford_word(gram, word).items():
+            out[m] = out.get(m, Fraction(0)) + c * v
+    return {m: c for m, c in out.items() if c}
+
+
+def clifford_product(gram, x, y) -> dict[int, Fraction]:
+    """x * y for elements given as mask -> coefficient mappings."""
+    return _clifford_sum(gram, [(cx * cy, _word(mx) + _word(my))
+                                for mx, cx in x.items() for my, cy in y.items()])
+
+
+def clifford_reverse(gram, x) -> dict[int, Fraction]:
+    """The main involution: every monomial's word read backwards."""
+    return _clifford_sum(gram, [(c, _word(m)[::-1]) for m, c in x.items()])
+
+
+def clifford_trace(gram, x) -> Fraction:
+    """Trace of the 2^rank x 2^rank matrix of left multiplication by x."""
+    return sum((clifford_product(gram, x, {t: 1}).get(t, Fraction(0))
+                for t in range(1 << len(gram))), Fraction(0))

@@ -1,6 +1,7 @@
 """In-process exercise of the command line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -374,6 +375,27 @@ class TestKugaSatake:
             "0,1,0,0,0,0,0,0",
         )
         assert err["type"] == "NotNegativePlane"
+
+    def test_rank_cap(self, capsys, tmp_path):
+        path = tmp_path / "seven_two.json"
+        diag = [2] * 7 + [-2] * 2
+        path.write_text(json.dumps(
+            {"gram": [[d if i == j else 0 for j in range(9)] for i, d in enumerate(diag)]}
+        ))
+        start = time.perf_counter()
+        err = error_json(
+            capsys,
+            EXIT_INVALID,
+            "ks",
+            "--lattice",
+            str(path),
+            "--z1",
+            "0,0,0,0,0,0,0,1,0",
+            "--z2",
+            "0,0,0,0,0,0,0,0,1",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert err["type"] == "RankLimitExceeded"
 
 
 class TestTransfer:

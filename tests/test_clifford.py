@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from k3cycles import clifford
 from k3cycles.clifford import (
     GradedParity,
@@ -270,3 +271,53 @@ def test_trace_linear(c1, c2):
     lat = A2
     x, y = element(lat, c1), element(lat, c2)
     assert trace(x + y) == trace(x) + trace(y)
+
+
+@st.composite
+def gram_and_elements(draw):
+    """A random integral symmetric Gram of rank 2-5 (any diagonal sign,
+    zero included, off-diagonal entries allowed) and two sparse elements
+    with integer or rational coefficients."""
+    r = draw(st.integers(2, 5))
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    coeff = st.one_of(
+        st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    )
+    elem = st.dictionaries(st.integers(0, (1 << r) - 1), coeff, max_size=6)
+    return tuple(map(tuple, gram)), draw(elem), draw(elem)
+
+
+FIXED_GRAMS = (
+    ((0, 1), (1, 0)),
+    ((-2, 1, 0), (1, 0, 3), (0, 3, -1)),
+    ((2, -1, 1, 0), (-1, 0, 2, -3), (1, 2, -2, 1), (0, -3, 1, 3)),
+    ((1, 2, 0, -1, 3), (2, -1, 1, 0, 0), (0, 1, 0, 2, -2), (-1, 0, 2, 3, 1),
+     (3, 0, -2, 1, -3)),
+)
+
+
+def check_against_oracle(gram, cx, cy):
+    lat = Lattice(gram)
+    x, y = element(lat, cx), element(lat, cy)
+    assert dict(multiply(x, y).coeffs) == oracles.clifford_product(gram, x._map, y._map)
+    assert dict(main_involution(x).coeffs) == oracles.clifford_reverse(gram, x._map)
+    assert trace(x) == oracles.clifford_trace(gram, x._map)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_and_elements())
+def test_products_match_word_rewriting_oracle(case):
+    check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("gram", FIXED_GRAMS)
+def test_dense_products_match_word_rewriting_oracle(gram):
+    rng = random.Random(len(gram))
+    size = 1 << len(gram)
+    cx = {m: rng.randint(-3, 3) for m in range(size)}
+    cy = {m: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for m in range(size)}
+    check_against_oracle(gram, cx, cy)
+    check_against_oracle(gram, cy, cx)

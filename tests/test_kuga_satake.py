@@ -1,6 +1,7 @@
 """Period planes, polarizers, and torus certification reports."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from k3cycles.errors import (
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
+    RankLimitExceeded,
     UnsupportedSignature,
 )
 from k3cycles.kuga_satake import (
@@ -147,6 +149,23 @@ class TestReport:
                 (((1, 0),), ((0, 1),)),
                 None,
             )
+
+    def test_rank_cap_raises_before_clifford_work(self, monkeypatch):
+        lat = Lattice(tuple(
+            tuple((2 if i < 7 else -2) if i == j else 0 for j in range(9))
+            for i in range(9)
+        ))
+        plane = tail_plane(lat)
+
+        def no_clifford(*_args, **_kwargs):
+            raise AssertionError("Clifford work started above the rank cap")
+
+        for name in ("element", "multiply", "main_involution", "trace"):
+            monkeypatch.setattr(clifford, name, no_clifford)
+        start = time.perf_counter()
+        with pytest.raises(RankLimitExceeded):
+            ks_report(lat, default_splitting(lat), plane)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSpecialEndo:

@@ -145,6 +145,18 @@ class TestEmbeddings:
         sq = CUBIC.gen() * CUBIC.gen()
         assert [CUBIC.sign_at(i, sq) for i in range(3)] == [1, 1, 1]
 
+    def test_embeddings_unchanged_by_refinement(self):
+        field = TotallyRealField(poly=CUBIC.poly)
+        before = field.embeddings()
+        # theta - 1879/1000 is within 5e-4 of zero at the largest root, so
+        # its sign there needs the interval narrowed many times
+        x = field.gen() - field.from_power([Fraction(1879, 1000)])
+        assert [field.sign_at(i, x) for i in range(3)] == [-1, -1, 1]
+        lo, hi = field._refined[2]
+        assert hi - lo < (before[2][1] - before[2][0]) / 100
+        assert field.embeddings() == before
+        assert field.embeddings() == TotallyRealField(poly=CUBIC.poly).embeddings()
+
 
 class TestSerialization:
     def test_round_trip(self):
