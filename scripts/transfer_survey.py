@@ -3,12 +3,16 @@
 Shows three exact computations end to end: the admissible rank-2 form
 sqrt(2)*<1, 1> over Q(sqrt 2), the trace-zero lattice of the Hamilton
 quaternion order over Q, and the full table of degrees and ranks with
-d(m + 2) <= 21.
+d(m + 2) <= 21.  The table is compared with the recorded
+tests/data/feasibility_table.csv; any differing row is printed and the
+script exits with status 1.
 
 Usage: python3 scripts/transfer_survey.py
 """
 
 import sys
+from itertools import zip_longest
+from pathlib import Path
 
 from k3cycles.lattice import signature
 from k3cycles.numberfield import TotallyRealField
@@ -20,6 +24,8 @@ from k3cycles.transfer import (
     signature_profile,
     trace_lattice,
 )
+
+GOLDEN_CSV = Path(__file__).resolve().parent.parent / "tests" / "data" / "feasibility_table.csv"
 
 
 def show_form(title, m):
@@ -50,8 +56,19 @@ def main():
 
     print("\nfeasible (degree d, rank m + 2) pairs and the count size N:")
     print(f"  {'d':>3} {'m':>3} {'N':>3}")
-    for row in feasibility_table():
+    rows = feasibility_table()
+    for row in rows:
         print(f"  {row.d:>3} {row.m:>3} {row.n:>3}")
+
+    got = [f"{r.d},{r.m},{r.n}" for r in rows]
+    want = GOLDEN_CSV.read_text(encoding="utf-8").splitlines()[1:]
+    diff = [(i, g, w) for i, (g, w) in enumerate(zip_longest(got, want)) if g != w]
+    if diff:
+        print(f"\nfeasibility table differs from {GOLDEN_CSV.name}:")
+        for i, g, w in diff:
+            print(f"  row {i}: computed {g}, recorded {w}")
+        return 1
+    print(f"\nfeasibility table matches {GOLDEN_CSV.name} ({len(got)} rows)")
     return 0
 
 

@@ -1,8 +1,22 @@
 """Generalized Gauss sums over residue classes and discriminant forms.
 
-Both sums are finite exponential sums evaluated in floating point from
-exactly reduced rational phases, so the only error is the final complex
-rounding, not phase drift.
+Both sums take their phases from integer quadratic forms reduced exactly
+modulo an even integer, and exponentiate each distinct phase once; the only
+float error is the rounding of those exponentials and of the final sum.
+
+`gauss_sum` walks x in (Z/c)^n in `itertools.product` order.  For each
+prefix x_1..x_{n-1} it carries a*Q mod 2c and the linear coefficient of
+x_n mod 2c, and the c phases of the last coordinate are memoized per such
+pair.  The terms are added by a Kahan sum in that same order, which fixes
+every bit of the result.
+
+`milgram_invariant` scales the discriminant-group generators by their
+common denominator den to integer vectors, so the norm of every coset is an
+integer mod 2*den^2 (well defined because the lattice is even).  It counts
+the cosets per phase from the same prefix walk, exponentiates each phase
+once and feeds every value to math.fsum as often as its phase occurs.
+fsum rounds the exact sum once, so the total does not depend on the order
+of the cosets.
 """
 
 from __future__ import annotations
@@ -10,8 +24,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -22,6 +36,58 @@ from .lattice import Lattice, discriminant_group, signature
 
 RESIDUE_TERM_CAP = 10_000_000
 MILGRAM_TOLERANCE = 1e-9
+
+
+def _prefix_phases(diag, cross, sizes, mod):
+    """Yield (Q(x) mod `mod`, l(x) mod `mod`) for every prefix x in
+    product(*(range(s) for s in sizes[:-1])), in itertools.product order.
+
+    Q(x) = sum_i diag[i]*x_i^2 + sum_{i<j} cross[i][j]*x_i*x_j with the
+    last coordinate zero, and l(x) = sum_i cross[i][last]*x_i is the
+    coefficient of the last coordinate.  An odometer recomputes only the
+    levels below the coordinate that moved.
+    """
+    m = len(sizes) - 1
+    x = [0] * m
+    q = [0] * (m + 1)  # q[k]: Q of the coordinates before k
+    # lin[k][j], j >= k: coefficient of x_j from the coordinates before k;
+    # rows are replaced, never mutated, so levels may share one list
+    lin = [[0] * (m + 1)] * (m + 1)
+    while True:
+        yield q[m], lin[m][m]
+        k = m - 1
+        while k >= 0 and x[k] == sizes[k] - 1:
+            x[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        t = x[k] = x[k] + 1
+        src, row = lin[k], cross[k]
+        qk = (q[k] + src[k] * t + diag[k] * t * t) % mod
+        nxt = src[:]
+        for j in range(k + 1, m + 1):
+            nxt[j] = (src[j] + row[j] * t) % mod
+        for level in range(k + 1, m + 1):
+            q[level] = qk
+            lin[level] = nxt
+
+
+def _fsum_repeated(pairs) -> float:
+    """math.fsum of each value repeated its count of times, without building
+    the list; fsum rounds the exact sum once, so order does not matter."""
+    return math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(x, cnt) for x, cnt in pairs))
+
+
+def _phase_form(gram, mod):
+    """Diagonal and doubled off-diagonal coefficients of x -> x^T gram x
+    mod `mod`; the rank-0 form becomes the zero form on Z/1."""
+    n = len(gram)
+    if n == 0:
+        return [0], [[0]]
+    diag = [gram[i][i] % mod for i in range(n)]
+    cross = [[2 * gram[i][j] % mod for j in range(n)] for i in range(n)]
+    return diag, cross
 
 
 @dataclass(frozen=True)
@@ -47,30 +113,31 @@ def gauss_sum(lat: Lattice, a: int, c: int) -> GaussSumValue:
     if c ** n > RESIDUE_TERM_CAP:
         raise EnumerationLimitExceeded(
             f"residue enumeration would need {c ** n} terms (cap {RESIDUE_TERM_CAP})")
-    gram = lat.gram
     two_c = 2 * c
+    table = []
+    for phase in range(two_c):
+        z = cmath.exp(1j * math.pi * phase / c)
+        table.append((z.real, z.imag))
+    diag, cross = _phase_form([[a * x for x in row] for row in lat.gram], two_c)
+    sizes = [c] * n or [1]
+    last, d = sizes[-1], diag[-1]
+    memo = {}
     re = im = 0.0
     cr = ci = 0.0  # Kahan compensation
-    for x in itertools.product(range(c), repeat=n):
-        q = 0
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = gram[i]
-                q += row[i] * xi * xi
-                for j in range(i + 1, n):
-                    if x[j]:
-                        q += 2 * row[j] * xi * x[j]
-        phase = (a * q) % two_c
-        z = cmath.exp(1j * math.pi * phase / c)
-        y = z.real - cr
-        t = re + y
-        cr = (t - re) - y
-        re = t
-        y = z.imag - ci
-        t = im + y
-        ci = (t - im) - y
-        im = t
+    for key in _prefix_phases(diag, cross, sizes, two_c):
+        zs = memo.get(key)
+        if zs is None:
+            q, l = key
+            zs = memo[key] = [table[(q + l * y + d * y * y) % two_c] for y in range(last)]
+        for zr, zi in zs:
+            y = zr - cr
+            t = re + y
+            cr = (t - re) - y
+            re = t
+            y = zi - ci
+            t = im + y
+            ci = (t - im) - y
+            im = t
     norm = c ** (-n / 2.0)
     return GaussSumValue(value=complex(re, im) * norm, a=a, c=c, rank=n,
                          normalization=norm)
@@ -91,16 +158,25 @@ def milgram_invariant(lat: Lattice) -> MilgramResult:
     if not lat.even:
         raise OddLatticeUnsupported("discriminant-form sum needs an even lattice")
     disc = discriminant_group(lat)  # raises DegenerateLattice when det = 0
+    disc.check_enumerable()
     p, q = signature(lat)
-    re = []
-    im = []
-    for h in disc.elements():
-        norm = lat.norm(h)
-        phase = norm - 2 * ((norm / 2).__floor__())  # exact value in [0, 2)
-        z = cmath.exp(1j * math.pi * float(phase))
-        re.append(z.real)
-        im.append(z.imag)
-    total = complex(math.fsum(re), math.fsum(im))
+    den = math.lcm(*(x.denominator for g in disc.generators for x in g))
+    gens = [[int(x * den) for x in g] for g in disc.generators]
+    images = [[sum(r * y for r, y in zip(row, g)) for row in lat.gram] for g in gens]
+    den2 = den * den
+    mod = 2 * den2
+    diag, cross = _phase_form(
+        [[sum(u * v for u, v in zip(g, h)) for h in images] for g in gens], mod)
+    sizes = disc.invariant_factors or (1,)
+    last, d = sizes[-1], diag[-1]
+    hist = Counter()
+    for (q0, l), cnt in Counter(_prefix_phases(diag, cross, sizes, mod)).items():
+        for y in range(last):
+            hist[(q0 + l * y + d * y * y) % mod] += cnt
+    terms = [(cmath.exp(1j * math.pi * (phase / den2)), cnt)
+             for phase, cnt in hist.items()]
+    total = complex(_fsum_repeated((z.real, cnt) for z, cnt in terms),
+                    _fsum_repeated((z.imag, cnt) for z, cnt in terms))
     sig = (p - q) % 8
     predicted = math.sqrt(disc.order) * cmath.exp(2j * math.pi * sig / 8)
     err = abs(total - predicted)

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
@@ -175,19 +175,26 @@ class FourierTable:
     entries: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
     coset: tuple[Vector, ...]
 
-    def count(self, target) -> int:
+    @cached_property
+    def _index(self) -> dict:
+        """target -> (rank, count), first entry winning as in a scan."""
+        index = {}
+        for t, rank, c in self.entries:
+            index.setdefault(t, (rank, c))
+        return index
+
+    def _lookup(self, target) -> tuple[int, int]:
         key = tuple(tuple(int(x) for x in row) for row in target)
-        for t, _rank, c in self.entries:
-            if t == key:
-                return c
-        raise KeyError("target outside the tabulated range")
+        found = self._index.get(key)
+        if found is None:
+            raise KeyError("target outside the tabulated range")
+        return found
+
+    def count(self, target) -> int:
+        return self._lookup(target)[1]
 
     def rank_of(self, target) -> int:
-        key = tuple(tuple(int(x) for x in row) for row in target)
-        for t, rank, _c in self.entries:
-            if t == key:
-                return rank
-        raise KeyError("target outside the tabulated range")
+        return self._lookup(target)[0]
 
 
 def _psd_targets(r: int, bound: int):

@@ -220,6 +220,17 @@ class TestGaussMilgram:
         assert doc["signature_mod8"] == (3 - 19) % 8
         assert doc["agrees"] is True
 
+    def test_milgram_cap(self, capsys, tmp_path):
+        path = tmp_path / "two21.json"
+        n = 21
+        path.write_text(json.dumps(
+            {"gram": [[2 * (i == j) for j in range(n)] for i in range(n)]}
+        ))
+        start = time.perf_counter()
+        err = error_json(capsys, EXIT_INVALID, "milgram", "--lattice", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert err["type"] == "EnumerationLimitExceeded"
+
 
 class TestClifford:
     def test_square_of_generator(self, capsys):

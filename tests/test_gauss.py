@@ -2,12 +2,19 @@
 
 import cmath
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3cycles.errors import InvalidModulus, OddLatticeUnsupported
+import oracles
+from k3cycles import gauss, lattice
+from k3cycles.errors import (
+    EnumerationLimitExceeded,
+    InvalidModulus,
+    OddLatticeUnsupported,
+)
 from k3cycles.gauss import gauss_sum, milgram_invariant
 from k3cycles.lattice import (
     Lattice,
@@ -92,3 +99,118 @@ def test_milgram_random_even(g2, g1):
     assert res.agrees, (lat.gram, res)
     assert res.signature_mod8 == (p - q) % 8
     assert res.error < 1e-9
+
+
+@st.composite
+def gauss_inputs(draw):
+    """A symmetric integer Gram of rank 0-8 (odd, indefinite, degenerate
+    when a row is zeroed), a in [-6, 6] and c in [1, 7] with c^n <= 2*10^4."""
+    n = draw(st.integers(0, 8))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-6, 6))
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for j in range(n):
+            gram[k][j] = gram[j][k] = 0
+    c_max = max(c for c in range(1, 8) if c ** n <= 20_000)
+    return (Lattice(tuple(map(tuple, gram))), draw(st.integers(-6, 6)),
+            draw(st.integers(1, c_max)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauss_inputs())
+def test_gauss_sum_matches_term_oracle_bitwise(case):
+    lat, a, c = case
+    got = gauss_sum(lat, a, c)
+    value, norm = oracles.gauss_sum_terms(lat, a, c)
+    assert repr(got.value) == repr(value)
+    assert repr(got.normalization) == repr(norm)
+    assert (got.a, got.c, got.rank) == (a, c, lat.rank)
+
+
+def _sheared(gram, moves):
+    """U gram U^T for U a product of elementary row additions."""
+    g = [list(row) for row in gram]
+    n = len(g)
+    for i, j, k in moves:
+        if i % n == j % n:
+            continue
+        i, j = i % n, j % n
+        g[i] = [x + k * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] += k * row[j]
+    return tuple(map(tuple, g))
+
+
+@st.composite
+def milgram_inputs(draw):
+    """An even Gram of rank 1-10 with 0 < |det| <= 5000: a direct sum of
+    even blocks (<2k>, H, random 2x2 and 3x3, E8 or E8(-1)) under up to
+    four shears by +-1, so it is neither diagonal nor definite in general.
+
+    The shears stay mild because the Smith form behind discriminant_group
+    still blows up on some heavier shears (ROADMAP item 1): 12 shears by
+    +-1 ran over 3 s on 2 of 1500 draws, 4 shears on none.
+    """
+    n = draw(st.integers(1, 10))
+    blocks = []
+    size = 0
+    while size < n:
+        kind = draw(st.sampled_from(("cyclic", "H", "plane", "solid", "E8")))
+        if kind == "E8" and n - size >= 8:
+            blocks.append(e8_lattice(draw(st.sampled_from((1, -1)))))
+        elif kind == "H" and n - size >= 2:
+            blocks.append(hyperbolic_plane())
+        elif kind == "plane" and n - size >= 2:
+            a, b, d = (draw(st.integers(-4, 4)) for _ in range(3))
+            blocks.append(Lattice(((2 * a, b), (b, 2 * d))))
+        elif kind == "solid" and n - size >= 3:
+            a, b, c, d, e, f = (draw(st.integers(-3, 3)) for _ in range(6))
+            blocks.append(Lattice(((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))))
+        else:
+            k = draw(st.sampled_from((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)))
+            blocks.append(Lattice(((2 * k,),)))
+        size += blocks[-1].rank
+    moves = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                    st.sampled_from((-1, 1))), max_size=4))
+    lat = Lattice(_sheared(direct_sum(*blocks).gram, moves))
+    assume(lat.det != 0 and abs(lat.det) <= 5000)
+    return lat
+
+
+@settings(max_examples=60, deadline=None)
+@given(milgram_inputs())
+def test_milgram_matches_coset_oracle_bitwise(lat):
+    res = milgram_invariant(lat)
+    total, predicted, sig, err, agrees = oracles.milgram_terms(lat)
+    assert repr(res.total) == repr(total)
+    assert repr(res.predicted) == repr(predicted)
+    assert res.signature_mod8 == sig
+    assert repr(res.error) == repr(err)
+    assert res.agrees is agrees
+
+
+def test_milgram_refuses_large_groups_before_enumerating(monkeypatch):
+    n = 21
+    two = Lattice(tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n)))
+
+    def no_enumeration(*_args):
+        raise AssertionError("cosets enumerated above the cap")
+
+    monkeypatch.setattr(gauss, "_prefix_phases", no_enumeration)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitExceeded):
+        milgram_invariant(two)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_milgram_runs_at_the_cap(monkeypatch):
+    # a group of order exactly the cap is summed; one more refuses
+    lat = Lattice(((2, 0), (0, 2 * 2500)))
+    monkeypatch.setattr(lattice, "DISC_ENUMERATION_CAP", 4 * 2500)
+    assert milgram_invariant(lat).agrees
+    monkeypatch.setattr(lattice, "DISC_ENUMERATION_CAP", 4 * 2500 - 1)
+    with pytest.raises(EnumerationLimitExceeded):
+        milgram_invariant(lat)

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from k3cycles.errors import (
     DegenerateLattice,
+    EnumerationLimitExceeded,
     InvalidScale,
     NotInDualLattice,
 )
 from k3cycles.lattice import (
     BUILTIN_NAMES,
+    DISC_ENUMERATION_CAP,
+    DiscriminantGroup,
     Lattice,
     Signature,
     builtin_lattice,
@@ -140,6 +143,21 @@ class TestOperations:
         d = discriminant_group(Lattice(((2, 0), (0, 4))))
         assert d.order == 8
         assert sorted(d.invariant_factors) == [2, 4]
+
+    def test_elements_refused_above_cap(self):
+        n = 21
+        d = discriminant_group(
+            Lattice(tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n))))
+        assert d.order == 2 ** n > DISC_ENUMERATION_CAP
+        with pytest.raises(EnumerationLimitExceeded):
+            d.elements()  # raises on the call, before the first coset
+
+    def test_elements_at_cap(self):
+        cap = DISC_ENUMERATION_CAP
+        d = DiscriminantGroup((cap,), ((Fraction(1, cap),),), cap, 1)
+        cosets = d.elements()
+        assert next(cosets) == (0,)
+        assert next(cosets) == (Fraction(1, cap),)
 
 
 class TestNikulin:

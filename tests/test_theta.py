@@ -114,6 +114,15 @@ class TestSiegelTable:
         # inner products in diag(2,2) are even, so (x,y)=1 never happens
         assert table.count(((2, 1), (1, 2))) == 0
 
+    def test_lookup_agrees_with_entries(self):
+        table = siegel_theta_table(direct_sum(root_a1(), root_a1()), 2, 4)
+        for target, rank, count in table.entries:
+            assert table.count([list(row) for row in target]) == count
+            assert table.rank_of(target) == rank
+        for lookup in (table.count, table.rank_of):
+            with pytest.raises(KeyError, match="target outside the tabulated range"):
+                lookup(((6, 0), (0, 0)))
+
 
 def d16_plus() -> Lattice:
     """D16+ = D16 + Z g, g = (1/2, ..., 1/2), from the D16 simple roots
