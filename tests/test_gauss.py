@@ -135,9 +135,9 @@ def _sheared(gram, moves):
     g = [list(row) for row in gram]
     n = len(g)
     for i, j, k in moves:
-        if i % n == j % n:
-            continue
         i, j = i % n, j % n
+        if i == j:
+            continue
         g[i] = [x + k * y for x, y in zip(g[i], g[j])]
         for row in g:
             row[i] += k * row[j]
