@@ -124,7 +124,7 @@ class Lattice:
 class DiscriminantGroup:
     """L^vee / L presented by cyclic invariant factors.
 
-    generators[j] is a rational coordinate vector of order
+    generators[j] is a rational coordinate vector in [0, 1)^rank of order
     invariant_factors[j]; the group order is the product, which equals
     |det L|.
     """
@@ -183,7 +183,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         return DiscriminantGroup((), (), 1, 0)
     if lat.det == 0:
         raise DegenerateLattice("degenerate lattice has no discriminant group")
-    d, _u, v = linalg.smith_normal_form([list(row) for row in lat.gram])
+    d, v = linalg.smith_normal_form([list(row) for row in lat.gram])
     n = lat.rank
     factors = []
     gens = []
@@ -191,7 +191,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         dj = d[j][j]
         if dj > 1:
             factors.append(dj)
-            gens.append(tuple(Fraction(v[r][j], dj) for r in range(n)))
+            gens.append(tuple(Fraction(v[r][j] % dj, dj) for r in range(n)))
     order = 1
     for f in factors:
         order *= f

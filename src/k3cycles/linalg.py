@@ -7,7 +7,9 @@ clear row denominators before it and divide by its pivot only to build
 their Fraction results.  _symmetric_pass, the Schur pass behind inertia,
 congruence_diagonalize and the enumeration LDL, stays in Fraction so it
 can skip rows with a zero multiplier, which keeps the nearly diagonal
-Clifford forms cheap.  Smith form and kernels take and return ints.
+Clifford forms cheap.  One Smith loop on ints serves discriminant groups
+and integer kernels; on square nonsingular input it works modulo |det|
+(Domich-Kannan-Trotter), so its entries stay below |det|.
 """
 
 from __future__ import annotations
@@ -201,37 +203,40 @@ def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
     return b, [m[i][i] for i in range(len(m))]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (d, u, v) with u*a*v = d in Smith normal form.
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return (d, v): d diagonal (rectangular allowed) with nonnegative
+    entries d1 | d2 | ..., and v a right transform with a * v_j divisible
+    by d_j for every column v_j.
 
-    u and v are unimodular; d is diagonal (rectangular allowed) with
-    nonnegative entries d1 | d2 | ... in divisibility order.
+    Square nonsingular a is reduced modulo M = |det a|: entries of d and v
+    with |x| >= M are replaced by their symmetric residues (adding rows
+    M*e_j, which lie in the row lattice of a), and at the end
+    d_j = gcd(d_j, M), so prod d_j = M and det v = +-1 mod M.  Otherwise
+    M = 0, nothing is reduced and v is unimodular.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = [list(map(int, row)) for row in a]
-    u = int_identity(rows)
+    m = abs(int(det(a))) if rows == cols else 0
+    half = m // 2
+
+    def red(x):
+        return (x + half) % m - half if m and abs(x) >= m else x
+
+    d = [[red(int(x)) for x in row] for row in a]
     v = int_identity(cols)
 
     def row_op(i, j, f):  # row_i -= f * row_j
-        d[i] = [x - f * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+        d[i] = [red(x - f * y) for x, y in zip(d[i], d[j])]
 
     def col_op(i, j, f):  # col_i -= f * col_j
-        for r in range(rows):
-            d[r][i] -= f * d[r][j]
-        for r in range(cols):
-            v[r][i] -= f * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        for mat in (d, v):
+            for row in mat:
+                row[i] = red(row[i] - f * row[j])
 
     def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for mat in (d, v):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(rows, cols):
@@ -243,44 +248,34 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        d[t], d[best[0]] = d[best[0]], d[t]
         swap_cols(t, best[1])
         while True:
             dirty = False
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
-                    f = d[i][t] // d[t][t]
-                    row_op(i, t, f)
+                    row_op(i, t, d[i][t] // d[t][t])
                     if d[i][t] != 0:
-                        swap_rows(t, i)
+                        d[t], d[i] = d[i], d[t]
                     dirty = True
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
-                    f = d[t][j] // d[t][t]
-                    col_op(j, t, f)
+                    col_op(j, t, d[t][j] // d[t][t])
                     if d[t][j] != 0:
                         swap_cols(t, j)
                     dirty = True
             if not dirty:
                 break
         # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % d[t][t] for x in d[i][t + 1:])), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row, then reduce again
             continue
         t += 1
     for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-    return d, u, v
+        d[i][i] = math.gcd(d[i][i], m)  # |d_i| when m = 0
+    return d, v
 
 
 def integer_kernel(a: IntMatrix, cols: Optional[int] = None) -> list[list[int]]:
@@ -290,29 +285,6 @@ def integer_kernel(a: IntMatrix, cols: Optional[int] = None) -> list[list[int]]:
         n = cols if cols is not None else 0
         return [[int(i == j) for j in range(n)] for i in range(n)]
     n = len(a[0])
-    d, _u, v = smith_normal_form(a)
-    free = []
-    for j in range(n):
-        dj = d[j][j] if j < min(rows, n) else 0
-        if dj == 0:
-            free.append(j)
-    return [[v[r][j] for r in range(n)] for j in free]
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution of a*x = b, or None."""
-    rows = len(a)
-    n = len(a[0]) if rows else 0
-    d, u, v = smith_normal_form(a)
-    ub = [sum(u[i][j] * b[j] for j in range(rows)) for i in range(rows)]
-    y = [0] * n
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, n) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return [sum(v[i][j] * y[j] for j in range(n)) for i in range(n)]
+    d, v = smith_normal_form(a)
+    return [[v[r][j] for r in range(n)] for j in range(n)
+            if j >= min(rows, n) or d[j][j] == 0]

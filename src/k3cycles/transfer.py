@@ -369,11 +369,10 @@ def _order_span_matrix(field: TotallyRealField, elems: Sequence[Quaternion]):
 
 
 def _in_span(field, span_matrix, denom, q: Quaternion) -> bool:
-    target = _flat_coords(field, q)
-    target = [x * denom for x in target]
-    if any(x.denominator != 1 for x in target):
-        return False
-    return linalg.solve_integer(span_matrix, [int(x) for x in target]) is not None
+    """Whether q is an integer combination of the columns of span_matrix,
+    which has full column rank, so the rational solution is unique."""
+    x = linalg.solve(span_matrix, [c * denom for c in _flat_coords(field, q)])
+    return x is not None and all(c.denominator == 1 for c in x)
 
 
 def quaternion_trace_zero(

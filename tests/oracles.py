@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: rectangular boxes from
 the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
-reference for linalg, Clifford words normalized by adjacent
+reference for linalg, Smith invariant factors from determinantal
+divisors, Clifford words normalized by adjacent
 rewriting, and the Gauss and Milgram sums term by term in floating point.
 Nothing imports from the enumeration, theta, linalg, clifford or gauss
 modules.
@@ -74,6 +75,22 @@ def inverse(a):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in m]
+
+
+def invariant_factors(a) -> list[int]:
+    """Smith invariant factors s_k = D_k / D_(k-1), where D_k is the gcd of
+    all k x k minors (0 once D_k = 0); one per diagonal position."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    factors, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = math.gcd(g, int(det([[a[r][c] for c in cs] for r in rs])))
+        factors.append(g // prev if prev else 0)
+        prev = g
+    return factors
 
 
 def _box_radii(lat: Lattice, bound: Fraction) -> list[int]:

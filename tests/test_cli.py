@@ -87,6 +87,38 @@ class TestInfo:
         assert doc["discriminant_group"] == [2, 4]
         assert doc["discriminant_order"] == 8
 
+    def test_det_96_gram_is_fast(self, capsys, tmp_path):
+        # the unreduced Smith form ran past 5 s on this Gram
+        gram = [[-14, -26, -35, -70, 16], [-26, -50, -59, -130, 40],
+                [-35, -59, -64, -150, 40], [-70, -130, -150, -336, 100],
+                [16, 40, 40, 100, -50]]
+        path = tmp_path / "det96.json"
+        path.write_text(json.dumps({"gram": gram}))
+        start = time.perf_counter()
+        doc = invoke_json(capsys, "info", "--lattice", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert doc["det_signed"] == -96
+        assert doc["discriminant_group"] == [2, 4, 12]
+
+    def test_rank_20_quintic_transfer_is_fast(self, capsys, tmp_path):
+        # trace form over Q(2cos(2pi/11)) of a diagonal rank-4 form
+        diag = [[-2, 2, -2, 0, -2], [1, 1, 1, 1, -1], [-3, 1, -2, 1, 1], [2, -2, 1, 0, -1]]
+        zero = [0] * 5
+        src = tmp_path / "quintic.json"
+        src.write_text(json.dumps({
+            "field": {"poly": [1, 3, -3, -4, 1, 1]},
+            "gram": [[diag[i] if i == j else zero for j in range(4)] for i in range(4)],
+        }))
+        out = tmp_path / "trace.json"
+        code, _, err = invoke(capsys, "transfer", "--input", str(src), "--output", str(out))
+        assert code == EXIT_OK, err
+        start = time.perf_counter()
+        doc = invoke_json(capsys, "info", "--lattice", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert doc["rank"] == 20
+        assert doc["discriminant_group"] == [11] * 11 + [22] * 4 + [4739733433226]
+        assert doc["discriminant_order"] == doc["det"] == 11 ** 11 * 22 ** 4 * 4739733433226
+
     def test_missing_file(self, capsys):
         err = error_json(
             capsys, EXIT_FILE, "info", "--lattice", "/no/such/file.json"

@@ -193,12 +193,19 @@ class TestInversion:
         with pytest.raises(NotInvertible):
             invert(vector_element(h, (1, 0)))
 
-    def test_rank_cap(self):
+    def test_rank_cap(self, monkeypatch):
+        n = clifford.INVERSION_RANK_CAP + 1
         big = Lattice(tuple(
-            tuple(2 if i == j else 0 for j in range(13)) for i in range(13)
+            tuple(2 if i == j else 0 for j in range(n)) for i in range(n)
         ))
+        x = scalar_element(big, 2) + basis_element(big, 1)
+
+        def no_table(*_args):
+            raise AssertionError("multiplication table built above the cap")
+
+        monkeypatch.setattr(clifford, "_table", no_table)
         with pytest.raises(RankLimitExceeded):
-            invert(scalar_element(big, 2) + basis_element(big, 1))
+            invert(x)
 
 
 class TestGspin:

@@ -148,11 +148,8 @@ def _sheared(gram, moves):
 def milgram_inputs(draw):
     """An even Gram of rank 1-10 with 0 < |det| <= 5000: a direct sum of
     even blocks (<2k>, H, random 2x2 and 3x3, E8 or E8(-1)) under up to
-    four shears by +-1, so it is neither diagonal nor definite in general.
-
-    The shears stay mild because the Smith form behind discriminant_group
-    still blows up on some heavier shears (ROADMAP item 1): 12 shears by
-    +-1 ran over 3 s on 2 of 1500 draws, 4 shears on none.
+    12 shears by +-1 or +-2, so it is neither diagonal nor definite in
+    general.
     """
     n = draw(st.integers(1, 10))
     blocks = []
@@ -174,7 +171,7 @@ def milgram_inputs(draw):
             blocks.append(Lattice(((2 * k,),)))
         size += blocks[-1].rank
     moves = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
-                                    st.sampled_from((-1, 1))), max_size=4))
+                                    st.sampled_from((-2, -1, 1, 2))), max_size=12))
     lat = Lattice(_sheared(direct_sum(*blocks).gram, moves))
     assume(lat.det != 0 and abs(lat.det) <= 5000)
     return lat

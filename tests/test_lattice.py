@@ -1,5 +1,7 @@
 """Builtin lattices, invariants, discriminant groups, embeddings."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -232,3 +234,51 @@ def test_discriminant_order_is_abs_det(gram):
     if lat.det == 0:
         return
     assert discriminant_group(lat).order == abs(lat.det)
+
+
+# Found hanging in the unreduced Smith form: det -96 with entries up to 336.
+DET_96 = ((-14, -26, -35, -70, 16), (-26, -50, -59, -130, 40), (-35, -59, -64, -150, 40),
+          (-70, -130, -150, -336, 100), (16, 40, 40, 100, -50))
+
+
+def test_discriminant_det_96_is_fast():
+    start = time.perf_counter()
+    d = discriminant_group(Lattice(DET_96))
+    assert time.perf_counter() - start < 0.5
+    assert d.invariant_factors == (2, 4, 12)
+    assert len(set(d.elements())) == 96
+
+
+def _small_det_gram(seed):
+    """U D U^T at rank 5-12 with 0 < |det| <= 5000: D diagonal, U a product
+    of seeded shears by +-1 or +-2, each kept while the entries stay within
+    100, so the Gram is far from diagonal."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 12)
+    diag = [rng.choice((-1, 1)) for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(1, 4)):
+        diag[i] *= rng.choice((2, 3, 4, 6))
+    g = [[diag[i] * (i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        h = [list(row) for row in g]
+        h[i] = [x + k * y for x, y in zip(h[i], h[j])]
+        for row in h:
+            row[i] += k * row[j]
+        if max(abs(x) for row in h for x in row) <= 100:
+            g = h
+    return Lattice(tuple(map(tuple, g)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_discriminant_generators_give_distinct_cosets(seed):
+    lat = _small_det_gram(seed)
+    d = discriminant_group(lat)
+    assert 0 < d.order == abs(lat.det) <= 5000
+    for f, g in zip(d.invariant_factors, d.generators):
+        assert lat.in_dual(g)
+        assert all(0 <= x < 1 for x in g)
+        assert all((f * x).denominator == 1 for x in g)
+    assert len(set(d.elements())) == d.order
