@@ -81,10 +81,6 @@ class DegenerateTransfer(K3CyclesError):
     """Field lattice is degenerate, so no trace form exists."""
 
 
-class PrecisionExhausted(K3CyclesError):
-    """Interval refinement hit its iteration cap before a sign was certain."""
-
-
 class NotAnOrder(K3CyclesError):
     """Claimed quaternion order basis is not closed under multiplication."""
 

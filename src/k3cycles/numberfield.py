@@ -4,10 +4,12 @@ A field is a monic squarefree integer polynomial all of whose roots are
 real (Sturm-verified), together with an integral basis given in the power
 basis of a root.  Element arithmetic is polynomial arithmetic mod f, so it
 is exact; the real embeddings are isolating rational intervals around the
-roots, kept in ascending order and refined on demand when a sign has to be
-decided.  Reducible squarefree polynomials are tolerated (the arithmetic
-is then that of a product of fields), which keeps degree-1 and split test
-cases cheap.
+roots, in ascending order.  The sign of an element g at a root is one exact
+Sturm-Tarski query on its interval: the sign changes of the signed
+remainder sequence of f and f'g mod f count the roots of f there, each
+weighted by the sign of g (Basu-Pollack-Roy, Thm 2.58).  Reducible
+squarefree polynomials are tolerated (the arithmetic is then that of a
+product of fields), which keeps degree-1 and split test cases cheap.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import NotAnOrder, PrecisionExhausted
+from .errors import NotAnOrder
 
 Poly = list[Fraction]
-
-REFINEMENT_CAP = 128
 
 
 def _trim(p: Sequence) -> Poly:
@@ -70,18 +70,10 @@ def _poly_deriv(p: Poly) -> Poly:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = _trim(p), _trim(q)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _sturm_chain(f: Poly) -> list[Poly]:
-    chain = [_trim(f), _poly_deriv(f)]
+def _sturm_chain(f: Poly, g: Poly) -> list[Poly]:
+    """Signed remainder sequence of f and f'g mod f; its last element is
+    gcd(f, f'g) up to a scalar, so gcd(f, f') when g = 1."""
+    chain = [_trim(f), _poly_divmod(_poly_mul(_poly_deriv(f), g), f)[1]]
     while chain[-1]:
         rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
@@ -100,17 +92,11 @@ def _sign_changes(chain: list[Poly], x: Fraction) -> int:
 
 
 def _count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
+    """Sum of sign g(theta) over the distinct real roots theta of f in the
+    half-open interval (a, b], for chain = _sturm_chain(f, g).  With g = 1
+    this is the number of those roots, and a or b may be roots of f;
+    otherwise neither may be."""
     return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-
-def _interval_eval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of p over [lo, hi] by interval Horner evaluation."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
 
 
 @dataclass(frozen=True)
@@ -168,8 +154,7 @@ class TotallyRealField:
             raise ValueError("the defining polynomial must have integer coefficients")
         if self.poly[-1] != 1:
             raise ValueError("the defining polynomial must be monic")
-        f = _trim(self.poly)
-        if len(_poly_gcd(f, _poly_deriv(f))) != 1:
+        if len(self._chain[-1]) != 1:
             raise ValueError("the defining polynomial must be squarefree")
         if not self.basis:
             d = self.degree
@@ -183,9 +168,8 @@ class TotallyRealField:
                 "basis",
                 tuple(tuple(Fraction(c) for c in row) for row in self.basis),
             )
-        chain = _sturm_chain(f)
         bound = Fraction(1 + max(abs(c) for c in self.poly))
-        if _count_roots(chain, -bound, bound) != self.degree:
+        if _count_roots(self._chain, -bound, bound) != self.degree:
             raise ValueError("the defining polynomial is not totally real")
         self._validate_order()
 
@@ -199,7 +183,7 @@ class TotallyRealField:
 
     @cached_property
     def _chain(self) -> list[Poly]:
-        return _sturm_chain(self._poly)
+        return _sturm_chain(self._poly, [Fraction(1)])
 
     @cached_property
     def _isolating(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -233,9 +217,9 @@ class TotallyRealField:
         return tuple(found)
 
     @cached_property
-    def _refined(self) -> list[list[Fraction]]:
-        """Working copies of the intervals, narrowed in place by sign_at."""
-        return [list(iv) for iv in self._isolating]
+    def omegas(self) -> tuple[FieldElement, ...]:
+        """The integral basis as field elements."""
+        return tuple(FieldElement(self, row) for row in self.basis)
 
     def _validate_order(self) -> None:
         d = self.degree
@@ -298,27 +282,35 @@ class TotallyRealField:
     def gen(self) -> FieldElement:
         return self.from_power([0, 1])
 
+    def _mul_matrix(self, x: FieldElement) -> list[list[Fraction]]:
+        """Matrix of multiplication by x in the power basis: column k is
+        x * theta^k mod f."""
+        col = list(x.power)
+        cols = []
+        for _ in range(self.degree):
+            cols.append(col)
+            # theta * col, with theta^d = -(f_0 + ... + f_{d-1} theta^{d-1})
+            top = col[-1]
+            col = [c - top * fj for c, fj in zip([Fraction(0)] + col[:-1], self.poly)]
+        return [list(row) for row in zip(*cols)]
+
+    @cached_property
+    def _power_traces(self) -> list[Fraction]:
+        """tr(theta^j) for j < degree."""
+        traces = []
+        for j in range(self.degree):
+            mat = self._mul_matrix(self.from_power([0] * j + [1]))
+            traces.append(sum((mat[k][k] for k in range(self.degree)), Fraction(0)))
+        return traces
+
     def trace(self, x: FieldElement) -> Fraction:
         """Trace of the multiplication-by-x matrix in the power basis."""
-        total = Fraction(0)
-        for k in range(self.degree):
-            shifted = [Fraction(0)] * k + list(x.power)
-            red = _poly_divmod(shifted, self._poly)[1]
-            if len(red) > k:
-                total += red[k]
-        return total
+        return sum((c * t for c, t in zip(x.power, self._power_traces)), Fraction(0))
 
     def invert(self, x: FieldElement) -> FieldElement:
         """Multiplicative inverse; ZeroDivisionError for zero divisors."""
-        d = self.degree
-        cols = []
-        for k in range(d):
-            shifted = [Fraction(0)] * k + list(x.power)
-            red = _poly_divmod(shifted, self._poly)[1]
-            cols.append(tuple(red) + (Fraction(0),) * (d - len(red)))
-        mat = [[cols[k][j] for k in range(d)] for j in range(d)]
-        rhs = [Fraction(int(j == 0)) for j in range(d)]
-        sol = linalg.solve(mat, rhs)
+        rhs = [Fraction(int(j == 0)) for j in range(self.degree)]
+        sol = linalg.solve(self._mul_matrix(x), rhs)
         if sol is None:
             raise ZeroDivisionError("element is zero or a zero divisor")
         inv = self.from_power(sol)
@@ -327,51 +319,17 @@ class TotallyRealField:
         return inv
 
     def embeddings(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Isolating intervals for the real roots, ascending.
-
-        Always the intervals first isolated, whatever sign_at has refined.
-        """
+        """Isolating intervals for the real roots, ascending."""
         return self._isolating
 
-    def _refine(self, i: int) -> None:
-        iv = self._refined[i]
-        lo, hi = iv
-        if lo == hi:
-            return
-        m = (lo + hi) / 2
-        if _poly_eval(self._poly, m) == 0:
-            iv[0] = iv[1] = m
-        elif _count_roots(self._chain, lo, m) == 1:
-            iv[1] = m
-        else:
-            iv[0] = m
-
     def sign_at(self, i: int, x: FieldElement) -> int:
-        """Certified sign of x under the i-th embedding (-1, 0, or 1)."""
+        """Exact sign of x under the i-th embedding (-1, 0, or 1)."""
         g = _trim(x.power)
-        if not g:
-            return 0
-        h = _poly_gcd(g, self._poly)
-        if len(h) > 1 and self._root_of(i, h):
-            return 0
-        for _ in range(REFINEMENT_CAP):
-            lo, hi = self._refined[i]
-            vlo, vhi = _interval_eval(g, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            self._refine(i)
-        raise PrecisionExhausted(
-            f"sign of embedding {i} undecided after {REFINEMENT_CAP} refinements"
-        )
-
-    def _root_of(self, i: int, h: Poly) -> bool:
-        lo, hi = self._refined[i]
+        lo, hi = self._isolating[i]
         if lo == hi:
-            return _poly_eval(h, lo) == 0
-        chain = _sturm_chain(h)
-        return _count_roots(chain, lo, hi) >= 1
+            v = _poly_eval(g, lo)
+            return (v > 0) - (v < 0)
+        return _count_roots(_sturm_chain(self._poly, g), lo, hi)
 
     def to_dict(self) -> dict:
         return {

@@ -120,7 +120,7 @@ def trace_lattice(m: NumberFieldLattice) -> Lattice:
     """
     field = m.field
     d = field.degree
-    omegas = [field.element(tuple(int(k == t) for t in range(d))) for k in range(d)]
+    omegas = field.omegas
     size = m.rank * d
     gram = [[0] * size for _ in range(size)]
     for i in range(m.rank):
@@ -219,8 +219,8 @@ def signature_profile(m: NumberFieldLattice) -> SignatureProfile:
     """Per-embedding signatures, embeddings in ascending root order.
 
     The Gram is diagonalized once symbolically over F; each diagonal
-    entry's sign under each embedding is then certified by interval
-    refinement.
+    entry's sign under each embedding is then decided exactly by
+    TotallyRealField.sign_at.
     """
     field = m.field
     diag = _diagonalize_over_field(m)
@@ -354,10 +354,9 @@ def _flat_coords(field: TotallyRealField, q: Quaternion) -> list[Fraction]:
 def _order_span_matrix(field: TotallyRealField, elems: Sequence[Quaternion]):
     """Columns: flat O_F-coordinates of omega_k * e for each element e."""
     d = field.degree
-    omegas = [field.element(tuple(int(k == t) for t in range(d))) for k in range(d)]
     cols = []
     for q in elems:
-        for w in omegas:
+        for w in field.omegas:
             scaled = tuple(w * comp for comp in q)
             cols.append(_flat_coords(field, scaled))
     denom = 1
@@ -414,17 +413,14 @@ def quaternion_trace_zero(
                 raise NotAnOrder("the order basis is not closed under multiplication")
 
     # trace-zero condition: d rational equations on the 4d integer coords
-    omegas = [field.element(tuple(int(k == t) for t in range(d))) for k in range(d)]
+    omegas = field.omegas
     rows: list[list[Fraction]] = [[] for _ in range(d)]
     for q in basis:
         for w in omegas:
             val = alg.reduced_trace(tuple(w * comp for comp in q))
             for r in range(d):
                 rows[r].append(val.power[r])
-    int_rows = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * den) for x in row])
+    int_rows, _scale = linalg._integer_rows(rows)
     kernel = linalg.integer_kernel(int_rows, cols=4 * d)
     if len(kernel) != 3 * d:
         raise NotFreeModule(

@@ -5,9 +5,9 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, Smith invariant factors from determinantal
 divisors, Clifford words normalized by adjacent
-rewriting, and the Gauss and Milgram sums term by term in floating point.
-Nothing imports from the enumeration, theta, linalg, clifford or gauss
-modules.
+rewriting, the Gauss and Milgram sums term by term in floating point, and
+the sign of a + b sqrt(n) in closed form.  Nothing imports from the
+enumeration, theta, linalg, clifford, gauss or numberfield modules.
 """
 
 from __future__ import annotations
@@ -91,6 +91,17 @@ def invariant_factors(a) -> list[int]:
         factors.append(g // prev if prev else 0)
         prev = g
     return factors
+
+
+def quadratic_sign(a, b, n: int) -> int:
+    """Sign of a + b sqrt(n) for rational a, b and a positive nonsquare n:
+    the sign of the larger of a^2 and n b^2 decides when a, b differ."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > n * b * b else sb
 
 
 def _box_radii(lat: Lattice, bound: Fraction) -> list[int]:

@@ -474,6 +474,18 @@ class TestTransfer:
         doc = invoke_json(capsys, "info", "--lattice", str(out))
         assert doc["signature"] == [2, 2]
 
+    def test_pell_unit_form(self, capsys, tmp_path):
+        # <p - q sqrt 2> with p + q sqrt 2 = (1 + sqrt 2)^51, of norm -1: the
+        # entry is about -1e-20 at the embedding sqrt 2 -> +sqrt 2
+        p, q = 1, 0
+        for _ in range(51):
+            p, q = p + 2 * q, p + q
+        path = tmp_path / "pell.json"
+        path.write_text(json.dumps({"field": {"poly": [-2, 0, 1]}, "gram": [[[p, -q]]]}))
+        doc = invoke_json(capsys, "transfer", "--input", str(path))
+        assert doc["profile"] == [[1, 0], [0, 1]]
+        assert doc["signature"] == [1, 1]
+
     def test_missing_input(self, capsys):
         error_json(capsys, EXIT_FILE, "transfer", "--input", "/no/file.json")
 

@@ -314,26 +314,38 @@ def test_ldl_splits_positive_forms(seed):
 @settings(max_examples=6, deadline=None)
 @given(seeds)
 def test_linalg_matches_sympy(seed):
-    sympy = pytest.importorskip("sympy")
+    # DomainMatrix over QQ: sympy's Matrix.rank/inv take minutes on some draws
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def qq(rows):
+        return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in row]
+                             for row in rows], (len(rows), len(rows[0])), QQ)
+
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
     a, b = _general_system(seed)
-    m = sympy.Matrix(a)
+    m = qq(a)
     assert linalg.rank(a) == m.rank()
     k = min(len(a), len(a[0]))
     square = [row[:k] for row in a[:k]]
-    s = sympy.Matrix(square)
-    assert linalg.det(square) == Fraction(str(s.det()))
+    s = qq(square)
+    assert linalg.det(square) == frac(s.det())
     inv = linalg.inverse(square)
     if inv is None:
         assert s.rank() < k
     else:
-        assert sympy.Matrix(inv) == s.inv()
+        assert inv == [[frac(q) for q in row] for row in s.inv().to_list()]
     x = linalg.solve(a, b)
-    consistent = m.rank() == sympy.Matrix.hstack(m, sympy.Matrix(b)).rank()
+    column = qq([[c] for c in b])
+    consistent = m.rank() == m.hstack(column).rank()
     assert (x is not None) == consistent
     if x is not None:
-        assert m * sympy.Matrix(x) == sympy.Matrix(b)
+        assert m.matmul(qq([[c] for c in x])) == column
     form = _symmetric_form(seed)
-    coeffs = sympy.Matrix(form).charpoly().all_coeffs()
+    coeffs = qq(form).charpoly()
     # all roots are real, so Descartes' rule of signs counts them exactly
     nonzero = [c for c in coeffs if c != 0]
     changes = sum(1 for u, v in zip(nonzero, nonzero[1:]) if u * v < 0)

@@ -1,11 +1,13 @@
 """Totally real fields: certified embeddings, traces, integral bases."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from k3cycles.errors import NotAnOrder
 from k3cycles.numberfield import FieldElement, TotallyRealField
 
@@ -139,11 +141,26 @@ class TestEmbeddings:
         zd = etale.gen() - etale.one()  # vanishes at root +1 only
         signs = {etale.sign_at(i, zd) for i in range(2)}
         assert signs == {-1, 0}
+        # x^3 - x isolates its root 0 as the exact interval (0, 0)
+        split = TotallyRealField(poly=(0, -1, 0, 1))
+        assert (0, 0) in split.embeddings()
+        for x, signs in ((split.gen(), [-1, 0, 1]), (split.gen() - split.one(), [-1, -1, 0])):
+            assert [split.sign_at(i, x) for i in range(3)] == signs
 
     def test_cubic_sign_pattern(self):
         # theta^2 is positive at every embedding
         sq = CUBIC.gen() * CUBIC.gen()
         assert [CUBIC.sign_at(i, sq) for i in range(3)] == [1, 1, 1]
+
+    def test_sign_independent_of_history(self):
+        # theta - c for c ever closer to sqrt(2): a field that answered the
+        # coarser queries first gives the same signs as fresh fields
+        used = TotallyRealField.quadratic(2)
+        for k in (10, 100, 300, 1000):
+            c = Fraction(math.isqrt(2 * 10 ** (2 * k)), 10 ** k)
+            for field in (used, TotallyRealField.quadratic(2)):
+                x = field.gen() - field.from_power([c])
+                assert [field.sign_at(i, x) for i in range(2)] == [-1, 1]
 
     def test_embeddings_unchanged_by_refinement(self):
         field = TotallyRealField(poly=CUBIC.poly)
@@ -152,8 +169,6 @@ class TestEmbeddings:
         # its sign there needs the interval narrowed many times
         x = field.gen() - field.from_power([Fraction(1879, 1000)])
         assert [field.sign_at(i, x) for i in range(3)] == [-1, -1, 1]
-        lo, hi = field._refined[2]
-        assert hi - lo < (before[2][1] - before[2][0]) / 100
         assert field.embeddings() == before
         assert field.embeddings() == TotallyRealField(poly=CUBIC.poly).embeddings()
 
@@ -215,3 +230,41 @@ def test_sign_consistency_with_floats(coords):
         approx = a + b * root
         if abs(approx) > 1e-9:
             assert SQRT2.sign_at(i, x) == (1 if approx > 0 else -1)
+
+
+FUNDAMENTAL_UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1), 7: (8, 3), 13: (18, 5)}
+QUADRATICS = {n: TotallyRealField.quadratic(n) for n in FUNDAMENTAL_UNITS}
+BIG = 10 ** 40
+
+
+def _units(n, x1, y1):
+    """The powers x + y sqrt(n) of the unit x1 + y1 sqrt(n) with x, y <= BIG."""
+    out, x, y = [], 1, 0
+    while max(x, y) <= BIG:
+        out.append((x, y))
+        x, y = x * x1 + n * y * y1, x * y1 + y * x1
+    return out
+
+
+UNITS = {n: _units(n, *unit) for n, unit in FUNDAMENTAL_UNITS.items()}
+
+
+@st.composite
+def quadratic_elements(draw):
+    n = draw(st.sampled_from(sorted(QUADRATICS)))
+    if draw(st.booleans()):
+        return n, draw(st.integers(-BIG, BIG)), draw(st.integers(-BIG, BIG))
+    # a unit or its conjugate, tiny at one embedding, nudged by at most 1
+    x, y = draw(st.sampled_from(UNITS[n]))
+    return n, x + draw(st.integers(-1, 1)), draw(st.sampled_from((y, -y)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_elements())
+def test_quadratic_sign_matches_closed_form(case):
+    n, a, b = case
+    field = QUADRATICS[n]
+    x = field.from_power([a, b])
+    # embedding 0 sends the generator to -sqrt(n), embedding 1 to +sqrt(n)
+    assert field.sign_at(0, x) == oracles.quadratic_sign(a, -b, n)
+    assert field.sign_at(1, x) == oracles.quadratic_sign(a, b, n)
