@@ -172,12 +172,30 @@ class _GenTable:
             terms = _combine((c, self.gen(m, j)) for m, c in terms.items())
         return terms
 
+    def product(self, x: Mapping[int, object], y: Mapping[int, object]) -> dict[int, object]:
+        """x * y for mask -> coefficient mappings (ints stay ints)."""
+        return _combine((cx * cy, self.word(mx, _bits(my)))
+                        for mx, cx in x.items() for my, cy in y.items())
+
     def tau(self, mask: int) -> int:
-        """Matrix trace of left multiplication by the monomial e_mask."""
+        """Matrix trace of left multiplication by the monomial e_mask.
+
+        By Wick's theorem (Chevalley 1954) it is 2^rank times the Pfaffian of
+        G[i_a][i_b], a < b, over the indices i_0 < i_1 < ... of e_mask:
+        tau(w) = sum_{k>=1} (-1)^(k-1) G[i_0][i_k] tau(w - {i_0, i_k}), 0 on
+        odd words and 2^rank on the empty one, so O(rank) per memoized word.
+        """
         hit = self._tau.get(mask)
         if hit is None:
-            n = 1 << len(self.gram)
-            hit = sum(self.word(mask, _bits(t)).get(t, 0) for t in range(n))
+            bits = _bits(mask)
+            if len(bits) & 1:
+                hit = 0
+            elif not bits:
+                hit = 1 << len(self.gram)
+            else:
+                row, rest = self.gram[bits[0]], mask ^ (1 << bits[0])
+                hit = sum((-1) ** k * row[i] * self.tau(rest ^ (1 << i))
+                          for k, i in enumerate(bits[1:]) if row[i])
             self._tau[mask] = hit
         return hit
 
@@ -190,12 +208,7 @@ def _table(gram: tuple) -> _GenTable:
 def multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """The associative Clifford product in normal form."""
     _same_ambient(x, y)
-    table = _table(x.ambient.gram)
-    return element(x.ambient, _combine(
-        (cx * cy, table.word(mx, _bits(my)))
-        for mx, cx in x.coeffs
-        for my, cy in y.coeffs
-    ))
+    return element(x.ambient, _table(x.ambient.gram).product(x._map, y._map))
 
 
 def main_involution(x: CliffordElement) -> CliffordElement:
@@ -250,7 +263,8 @@ def trace(x: CliffordElement) -> Fraction:
     of the empty monomial.  For a non-orthogonal Gram the two differ
     (on [[2,1],[1,2]] the monomial e1e2 has trace 4, not 0); the honest
     matrix trace is the basis-independent choice and is what makes
-    trace(xy) = trace(yx) hold unconditionally.
+    trace(xy) = trace(yx) hold unconditionally.  A monomial's trace is
+    2^rank times a Pfaffian of Gram entries (Wick; see _GenTable.tau).
     """
     table = _table(x.ambient.gram)
     return Fraction(sum(c * table.tau(mask) for mask, c in x.coeffs))

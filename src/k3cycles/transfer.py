@@ -335,10 +335,6 @@ class QuaternionAlgebra:
     def reduced_trace(self, x: Quaternion) -> FieldElement:
         return x[0] + x[0]
 
-    def reduced_norm(self, x: Quaternion) -> FieldElement:
-        prod = self.multiply(x, self.conjugate(x))
-        return prod[0]
-
     def pairing(self, x: Quaternion, y: Quaternion) -> FieldElement:
         """(x, y) = tr_red(x * conj(y))."""
         return self.reduced_trace(self.multiply(x, self.conjugate(y)))

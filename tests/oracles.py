@@ -7,7 +7,10 @@ reference for linalg, Smith invariant factors from determinantal
 divisors, Clifford words normalized by adjacent
 rewriting, the Gauss and Milgram sums term by term in floating point, and
 the sign of a + b sqrt(n) in closed form.  Nothing imports from the
-enumeration, theta, linalg, clifford, gauss or numberfield modules.
+enumeration, theta, linalg, clifford, gauss or numberfield modules, except
+the Kuga-Satake forms: ks_forms is the entry-by-entry product-and-trace
+loop, on clifford's products (checked against the rewriting oracle) with
+monomial traces summed word by word instead of in closed form.
 """
 
 from __future__ import annotations
@@ -227,6 +230,39 @@ def clifford_trace(gram, x) -> Fraction:
     """Trace of the 2^rank x 2^rank matrix of left multiplication by x."""
     return sum((clifford_product(gram, x, {t: 1}).get(t, Fraction(0))
                 for t in range(1 << len(gram))), Fraction(0))
+
+
+def summed_tau(table, mask: int) -> int:
+    """Matrix trace of left multiplication by e_mask in a clifford._GenTable:
+    the coefficient of e_t in e_mask e_t, summed over all 2^rank words t."""
+    return sum(table.word(mask, _word(t)).get(t, 0) for t in range(1 << len(table.gram)))
+
+
+def ks_forms(lat: Lattice, a, j):
+    """The 2^rank x 2^rank matrices of tr(a e_s rev(e_t)) and
+    tr(a e_s j rev(e_t)) for Clifford elements a and j: one multiply,
+    main_involution and trace per entry, with every monomial trace summed
+    word by word by summed_tau."""
+    from k3cycles import clifford
+
+    table = clifford._GenTable(lat.gram)
+    taus: dict[int, int] = {}
+
+    def trace(x) -> Fraction:
+        for m, _ in x.coeffs:
+            if m not in taus:
+                taus[m] = summed_tau(table, m)
+        return Fraction(sum(c * taus[m] for m, c in x.coeffs))
+
+    n = 1 << lat.rank
+    monos = [clifford.element(lat, {m: 1}) for m in range(n)]
+    rev = [clifford.main_involution(e) for e in monos]
+
+    def form(right):
+        left = [clifford.multiply(clifford.multiply(a, e), right) for e in monos]
+        return [[trace(clifford.multiply(x, y)) for y in rev] for x in left]
+
+    return form(clifford.scalar_element(lat, 1)), form(j)
 
 
 def gauss_sum_terms(lat: Lattice, a: int, c: int) -> tuple[complex, float]:

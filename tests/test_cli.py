@@ -2,9 +2,11 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+from k3cycles import clifford
 from k3cycles.cli import EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 
@@ -419,11 +421,30 @@ class TestKugaSatake:
         )
         assert err["type"] == "NotNegativePlane"
 
+    def test_rank_eight_root_lattice_certifies(self, capsys):
+        # A6 (+) <-2> (+) <-2>: 256 x 256 forms on a non-orthogonal Gram
+        clifford._table.cache_clear()
+        start = time.perf_counter()
+        doc = invoke_json(
+            capsys,
+            "ks",
+            "--lattice",
+            str(Path(__file__).parent / "data" / "ks_a6_plane.json"),
+            "--z1",
+            "0,0,0,0,0,0,1,0",
+            "--z2",
+            "0,0,0,0,0,0,0,1",
+        )
+        assert time.perf_counter() - start < 3
+        assert doc["alternating_ok"] and doc["symmetric_ok"] and doc["definite"]
+        assert doc["inertia"] == [0, 256, 0]
+        assert doc["special_endo_rank"] == 6
+
     def test_rank_cap(self, capsys, tmp_path):
-        path = tmp_path / "seven_two.json"
-        diag = [2] * 7 + [-2] * 2
+        path = tmp_path / "nine_two.json"
+        diag = [2] * 9 + [-2] * 2
         path.write_text(json.dumps(
-            {"gram": [[d if i == j else 0 for j in range(9)] for i, d in enumerate(diag)]}
+            {"gram": [[d if i == j else 0 for j in range(11)] for i, d in enumerate(diag)]}
         ))
         start = time.perf_counter()
         err = error_json(
@@ -433,9 +454,9 @@ class TestKugaSatake:
             "--lattice",
             str(path),
             "--z1",
-            "0,0,0,0,0,0,0,1,0",
+            "0,0,0,0,0,0,0,0,0,1,0",
             "--z2",
-            "0,0,0,0,0,0,0,0,1",
+            "0,0,0,0,0,0,0,0,0,0,1",
         )
         assert time.perf_counter() - start < 0.5
         assert err["type"] == "RankLimitExceeded"

@@ -328,3 +328,17 @@ def test_dense_products_match_word_rewriting_oracle(gram):
     cy = {m: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for m in range(size)}
     check_against_oracle(gram, cx, cy)
     check_against_oracle(gram, cy, cx)
+
+
+@pytest.mark.parametrize("rank,count", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3),
+                                        (6, 2), (7, 1), (8, 1)])
+def test_closed_form_tau_matches_summed_words(rank, count):
+    rng = random.Random(rank)
+    for _ in range(count):
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+        table = clifford._GenTable(tuple(map(tuple, gram)))
+        for mask in range(1 << rank):
+            assert table.tau(mask) == oracles.summed_tau(table, mask), (gram, mask)

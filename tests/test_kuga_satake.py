@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3cycles import clifford, kuga_satake
+import oracles
+from k3cycles import clifford, kuga_satake, linalg
 from k3cycles.errors import (
     BadPolarizer,
     BadSplitting,
@@ -151,21 +152,111 @@ class TestReport:
             )
 
     def test_rank_cap_raises_before_clifford_work(self, monkeypatch):
+        n = kuga_satake.KS_RANK_CAP + 1
         lat = Lattice(tuple(
-            tuple((2 if i < 7 else -2) if i == j else 0 for j in range(9))
-            for i in range(9)
+            tuple((2 if i < n - 2 else -2) if i == j else 0 for j in range(n))
+            for i in range(n)
         ))
         plane = tail_plane(lat)
 
         def no_clifford(*_args, **_kwargs):
             raise AssertionError("Clifford work started above the rank cap")
 
-        for name in ("element", "multiply", "main_involution", "trace"):
+        for name in ("element", "multiply", "main_involution", "trace", "_table"):
             monkeypatch.setattr(clifford, name, no_clifford)
         start = time.perf_counter()
         with pytest.raises(RankLimitExceeded):
             ks_report(lat, default_splitting(lat), plane)
         assert time.perf_counter() - start < 0.5
+
+
+def root_plane(k):
+    """The Gram of A_k (+) <-2> (+) <-2>."""
+    r = k + 2
+    gram = [[0] * r for _ in range(r)]
+    for i in range(k):
+        gram[i][i] = 2
+        if i + 1 < k:
+            gram[i][i + 1] = gram[i + 1][i] = -1
+    gram[k][k] = gram[k + 1][k + 1] = -2
+    return gram
+
+
+def ks_draw(seed, r):
+    """A seeded signature (r - 2, 2) lattice, splitting and rational plane.
+
+    seed % 3 picks A_{r-2} (+) <-2> (+) <-2> with the default splitting (0),
+    a diagonal Gram under seeded shears (1), or A_{r-2} (+) <-2> (+) <-2>
+    (2); the last two get an explicit splitting by the orthogonal basis
+    f with every vector scaled by 1 to 3.  The plane vectors are rational
+    combinations of the two negative basis vectors, so j often has
+    denominators.
+    """
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 1:
+        d = [rng.choice((2, 4)) for _ in range(r - 2)] + [-2, rng.choice((-2, -4))]
+        u = [[int(i == k) for k in range(r)] for i in range(r)]
+        for _ in range(r):
+            i, k = rng.sample(range(r), 2)
+            sign = rng.choice((-1, 1))
+            u[i] = [x + sign * y for x, y in zip(u[i], u[k])]
+        gram = [[sum(u[i][m] * d[m] * u[k][m] for m in range(r)) for k in range(r)]
+                for i in range(r)]
+        # row k of u^-1 has norm d[k], and the rows are pairwise orthogonal
+        f = [[int(x) for x in row] for row in linalg.inverse(u)]
+    else:
+        gram = root_plane(r - 2)
+        f = [[int(i == k) for k in range(r)] for i in range(r)]
+    lat = Lattice(tuple(map(tuple, gram)))
+    if kind == 0:
+        splitting = default_splitting(lat)
+    else:
+        rows = [[c * x for x in row] for row, c in zip(f, [rng.randint(1, 3) for _ in f])]
+        splitting = (rows[: r - 2], rows[r - 2:])
+    while True:
+        p = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+              for _ in range(2)] for _ in range(2)]
+        if p[0][0] * p[1][1] != p[0][1] * p[1][0]:
+            break
+    z1, z2 = ([c[0] * x + c[1] * y for x, y in zip(f[r - 2], f[r - 1])] for c in p)
+    return lat, splitting, period_plane(lat, z1, z2)
+
+
+# (seed, rank).  The entry-by-entry oracle takes about 3 s at rank 7 and
+# 5 s on a sheared rank-6 Gram, so those draws stay at rank 5 and below.
+KS_DRAWS = [(0, 3), (1, 3), (2, 3), (3, 4), (4, 4), (5, 4), (6, 5), (7, 5),
+            (8, 5), (13, 5), (9, 6), (11, 6), (41, 7)]
+
+
+def test_ks_draws_cover_hard_cases():
+    draws = [ks_draw(seed, r) for seed, r in KS_DRAWS]
+    assert {r for _s, r in KS_DRAWS} == {3, 4, 5, 6, 7}
+    assert all(signature(lat) == (lat.rank - 2, 2) for lat, _sp, _z in draws)
+    # every Gram above rank 3 (A_1 is diagonal) is non-orthogonal, and
+    # some are sheared beyond A_k
+    assert all(any(lat.gram[i][k] for i in range(lat.rank) for k in range(i))
+               for lat, _sp, _z in draws if lat.rank > 3)
+    assert sum(seed % 3 == 1 for seed, _r in KS_DRAWS) >= 4
+    assert 2 * sum(any(c.denominator > 1 for _, c in j_element(z)[0].coeffs)
+                   for _lat, _sp, z in draws) >= len(draws)
+    explicit = [sp for (seed, _r), (_l, sp, _z) in zip(KS_DRAWS, draws) if seed % 3]
+    assert any(any(abs(x) > 1 for v in sp[1] for x in v) for sp in explicit)
+
+
+@pytest.mark.parametrize("seed,rank", KS_DRAWS)
+def test_report_matches_entrywise_oracle(seed, rank):
+    lat, splitting, plane = ks_draw(seed, rank)
+    report = ks_report(lat, splitting, plane)
+    alt, sym = oracles.ks_forms(lat, polarizer(lat, splitting), j_element(plane)[0])
+    n = 1 << rank
+    assert report.riemann_gram == tuple(tuple(row) for row in sym)
+    assert report.alternating_ok == all(
+        alt[s][t] == -alt[t][s] for s in range(n) for t in range(n))
+    assert report.symmetric_ok == all(
+        sym[s][t] == sym[t][s] for s in range(n) for t in range(n))
+    assert report.alternating_ok and report.symmetric_ok and report.definite
+    assert report.inertia == linalg.inertia(sym)
 
 
 class TestSpecialEndo:

@@ -1,10 +1,14 @@
 """Theta q-expansions, Eisenstein coefficients, inversion symmetry."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from k3cycles import linalg, theta
 from k3cycles.errors import InvalidTau, UnsupportedWeight
 from k3cycles.lattice import Lattice, direct_sum, e8_lattice, root_a1
 from k3cycles.theta import (
@@ -150,3 +154,38 @@ def test_witt_e8e8_d16_plus_genus2():
     assert table.entries == e8e8.entries
     assert e8e8.count(((2, 1), (1, 2))) == 480 * 56
     assert e8e8.count(((4, 0), (0, 0))) == 61920
+
+
+def _inertia_psd_rank(t):
+    p, q, _z = linalg.inertia(t)
+    return p if q == 0 else None
+
+
+def test_psd_rank_matches_inertia_on_every_candidate():
+    # the candidates _psd_targets tests: diagonal entries >= 0 with trace
+    # <= 6 and |t_ij| <= isqrt(t_ii t_jj)
+    seen = 0
+    for r in (1, 2, 3):
+        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        for diag in itertools.product(range(7), repeat=r):
+            if sum(diag) > 6:
+                continue
+            limits = [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
+            for off in itertools.product(*(range(-s, s + 1) for s in limits)):
+                t = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
+                for (i, j), x in zip(pairs, off):
+                    t[i][j] = t[j][i] = x
+                assert theta._psd_rank(t) == _inertia_psd_rank(t), t
+                seen += 1
+    assert seen > 1000
+
+
+def test_psd_rank_matches_inertia_on_random_symmetric():
+    rng = random.Random(9)
+    for _ in range(1500):
+        r = rng.randint(1, 5)
+        t = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                t[i][j] = t[j][i] = rng.randint(-3, 3)
+        assert theta._psd_rank(t) == _inertia_psd_rank(t), t
