@@ -261,7 +261,7 @@ def _cmd_transfer(args) -> int:
         "det": abs(lat.det),
         "det_signed": lat.det,
         "profile": [[p.pos, p.neg] for p in prof],
-        "admissible": transfer.ks_admissible(m),
+        "admissible": transfer.ks_shape(prof, sig),
     }
     return _emit(_artifact(payload), args.output)
 

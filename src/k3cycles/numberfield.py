@@ -7,13 +7,18 @@ is exact; the real embeddings are isolating rational intervals around the
 roots, in ascending order.  The sign of an element g at a root is one exact
 Sturm-Tarski query on its interval: the sign changes of the signed
 remainder sequence of f and f'g mod f count the roots of f there, each
-weighted by the sign of g (Basu-Pollack-Roy, Thm 2.58).  Reducible
+weighted by the sign of g (Basu-Pollack-Roy, Thm 2.58).  That sequence,
+and the Sturm sequence of f that isolates the roots, is kept in integers
+as a primitive pseudo-remainder sequence (Cohen, GTM 138, Sec. 3.3) whose
+terms are positive multiples of the Sturm terms, and it is evaluated at
+p/q homogeneously, as the sum of c_i p^i q^(n-i).  Reducible
 squarefree polynomials are tolerated (the arithmetic is then that of a
 product of fields), which keeps degree-1 and split test cases cheap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
@@ -43,57 +48,62 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
     return _trim(out)
 
 
-def _poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    p = list(p)
-    lead = q[-1]
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        f = p[-1] / lead
-        shift = len(p) - len(q)
-        quot[shift] = f
-        for i, c in enumerate(q):
-            p[shift + i] -= f * c
-        p = _trim(p)
-        if not p:
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive part of c * (a mod b) for some integer c > 0, so every
+    sign of a mod b is kept; b is nonzero and trimmed."""
+    a, lead = list(a), b[-1]
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
             break
-    return _trim(quot), p
+        top, shift = a[-1], len(a) - len(b)
+        g = math.gcd(top, lead)
+        up, down = abs(lead) // g, top // g * (1 if lead > 0 else -1)
+        a = [c * up for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= down * c
+    content = math.gcd(*a)
+    return [c // content for c in a] if content > 1 else a
 
 
-def _poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p: Poly) -> Poly:
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _sturm_chain(f: Poly, g: Poly) -> list[Poly]:
-    """Signed remainder sequence of f and f'g mod f; its last element is
-    gcd(f, f'g) up to a scalar, so gcd(f, f') when g = 1."""
-    chain = [_trim(f), _poly_divmod(_poly_mul(_poly_deriv(f), g), f)[1]]
+def _int_chain(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
+    """Signed remainder sequence of f and f'g mod f, each term scaled by a
+    positive integer to its primitive part (a primitive pseudo-remainder
+    sequence with the signs of the Sturm sequence); its last element is
+    gcd(f, f'g) up to a scalar, so gcd(f, f') when g = 1.  f is monic."""
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    prod = [0] * (len(deriv) + len(g) - 1)
+    for i, a in enumerate(deriv):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    chain = [list(f), _int_prem(prod, f)]
     while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _int_prem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
     return chain
 
 
-def _sign_changes(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _int_eval(p: Sequence[int], x: Fraction) -> int:
+    """q^n p(x) for x = num/q, q > 0, n = deg p: the homogeneous sum
+    c_i num^i q^(n-i), which has the sign of p(x)."""
+    num, q = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc, scale = acc * num + c * scale, scale * q
+    return acc
 
 
-def _count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_int_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Sum of sign g(theta) over the distinct real roots theta of f in the
-    half-open interval (a, b], for chain = _sturm_chain(f, g).  With g = 1
+    half-open interval (a, b], for chain = _int_chain(f, g).  With g = 1
     this is the number of those roots, and a or b may be roots of f;
     otherwise neither may be."""
     return _sign_changes(chain, a) - _sign_changes(chain, b)
@@ -119,8 +129,7 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
-            prod = _poly_mul(list(self.power), list(other.power))
-            return self.field.from_power(_poly_divmod(prod, self.field._poly)[1])
+            return self.field.from_power(_poly_mul(list(self.power), list(other.power)))
         c = Fraction(other)
         return FieldElement(self.field, tuple(c * a for a in self.power))
 
@@ -156,20 +165,11 @@ class TotallyRealField:
             raise ValueError("the defining polynomial must be monic")
         if len(self._chain[-1]) != 1:
             raise ValueError("the defining polynomial must be squarefree")
-        if not self.basis:
-            d = self.degree
-            rows = tuple(
-                tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-            )
-            object.__setattr__(self, "basis", rows)
-        else:
-            object.__setattr__(
-                self,
-                "basis",
-                tuple(tuple(Fraction(c) for c in row) for row in self.basis),
-            )
-        bound = Fraction(1 + max(abs(c) for c in self.poly))
-        if _count_roots(self._chain, -bound, bound) != self.degree:
+        d = self.degree
+        rows = self.basis or [[int(i == j) for j in range(d)] for i in range(d)]
+        basis = tuple(tuple(Fraction(c) for c in row) for row in rows)
+        object.__setattr__(self, "basis", basis)
+        if len(self._isolating) != d:
             raise ValueError("the defining polynomial is not totally real")
         self._validate_order()
 
@@ -178,12 +178,8 @@ class TotallyRealField:
         return len(self.poly) - 1
 
     @cached_property
-    def _poly(self) -> Poly:
-        return _trim(self.poly)
-
-    @cached_property
-    def _chain(self) -> list[Poly]:
-        return _sturm_chain(self._poly, [Fraction(1)])
+    def _chain(self) -> list[list[int]]:
+        return _int_chain(self.poly, [1])
 
     @cached_property
     def _isolating(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -197,13 +193,13 @@ class TotallyRealField:
             if k == 0:
                 continue
             if k == 1:
-                if _poly_eval(self._poly, b) == 0:
+                if _int_eval(self.poly, b) == 0:
                     found.append((b, b))
                 else:
                     found.append((a, b))
                 continue
             m = (a + b) / 2
-            if _poly_eval(self._poly, m) == 0:
+            if _int_eval(self.poly, m) == 0:
                 found.append((m, m))
                 delta = (b - a) / 4
                 while _count_roots(self._chain, m - delta, m + delta) != 1:
@@ -232,11 +228,7 @@ class TotallyRealField:
             raise NotAnOrder("1 is not an integer combination of the basis")
         for k in range(d):
             for l in range(k, d):
-                prod = _poly_divmod(
-                    _poly_mul(list(self.basis[k]), list(self.basis[l])), self._poly
-                )[1]
-                prod = tuple(prod) + (Fraction(0),) * (d - len(prod))
-                if self._to_integral(prod) is None:
+                if self._to_integral((self.omegas[k] * self.omegas[l]).power) is None:
                     raise NotAnOrder(
                         "the integral basis is not closed under multiplication"
                     )
@@ -257,8 +249,11 @@ class TotallyRealField:
 
     def from_power(self, coords: Sequence) -> FieldElement:
         v = _trim(coords)
-        if len(v) > self.degree:
-            v = _poly_divmod(v, self._poly)[1]
+        while len(v) > self.degree:  # subtract top * theta^shift * f
+            top, shift = v[-1], len(v) - len(self.poly)
+            for i, c in enumerate(self.poly):
+                v[shift + i] -= top * c
+            v = _trim(v)
         padded = tuple(v) + (Fraction(0),) * (self.degree - len(v))
         return FieldElement(self, padded)
 
@@ -295,17 +290,19 @@ class TotallyRealField:
         return [list(row) for row in zip(*cols)]
 
     @cached_property
-    def _power_traces(self) -> list[Fraction]:
-        """tr(theta^j) for j < degree."""
-        traces = []
-        for j in range(self.degree):
-            mat = self._mul_matrix(self.from_power([0] * j + [1]))
-            traces.append(sum((mat[k][k] for k in range(self.degree)), Fraction(0)))
-        return traces
+    def _power_sums(self) -> list[int]:
+        """The Newton power sums s_n = tr(theta^n) for n <= 3d - 3, ints
+        because f is monic and integral."""
+        d, a = self.degree, self.poly
+        sums = [d]
+        for n in range(1, 3 * d - 2):
+            s = -sum(a[d - i] * sums[n - i] for i in range(1, min(n, d + 1)))
+            sums.append(s - n * a[d - n] if n <= d else s)
+        return sums
 
     def trace(self, x: FieldElement) -> Fraction:
         """Trace of the multiplication-by-x matrix in the power basis."""
-        return sum((c * t for c, t in zip(x.power, self._power_traces)), Fraction(0))
+        return sum((c * s for c, s in zip(x.power, self._power_sums)), Fraction(0))
 
     def invert(self, x: FieldElement) -> FieldElement:
         """Multiplicative inverse; ZeroDivisionError for zero divisors."""
@@ -324,12 +321,12 @@ class TotallyRealField:
 
     def sign_at(self, i: int, x: FieldElement) -> int:
         """Exact sign of x under the i-th embedding (-1, 0, or 1)."""
-        g = _trim(x.power)
+        (g,), _scale = linalg._integer_rows([x.power])
         lo, hi = self._isolating[i]
         if lo == hi:
-            v = _poly_eval(g, lo)
+            v = _int_eval(g, lo)
             return (v > 0) - (v < 0)
-        return _count_roots(_sturm_chain(self._poly, g), lo, hi)
+        return _count_roots(_int_chain(self.poly, g), lo, hi)
 
     def to_dict(self) -> dict:
         return {

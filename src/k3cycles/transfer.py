@@ -115,26 +115,37 @@ def trace_lattice(m: NumberFieldLattice) -> Lattice:
     """The Z-lattice tr_{F/Q}(omega_k omega_l (m_i, m_j)_M).
 
     Basis order: lattice index outer, field basis index inner, so the
-    result has rank d * rank_F.  Entries must come out integral (true
-    whenever the Gram entries lie in the order spanned by the basis).
+    result has rank d * rank_F.  A nonzero Gram entry e = sum e_c theta^c
+    gives the d x d block B H_e B^T / (den^2 * eden), in integers: B is the
+    integral basis times its denominator den, e_c = E_c / eden, and
+    H_e[a][b] = sum_c E_c s_(a+b+c) is a Hankel matrix in the Newton power
+    sums s_n = tr(theta^n).  Entries must come out integral (true whenever
+    the Gram entries lie in the order spanned by the basis).
     """
     field = m.field
     d = field.degree
-    omegas = field.omegas
+    sums = field._power_sums
+    den = math.lcm(*(c.denominator for row in field.basis for c in row))
+    basis = [[int(c * den) for c in row] for row in field.basis]
     size = m.rank * d
     gram = [[0] * size for _ in range(size)]
     for i in range(m.rank):
-        for j in range(m.rank):
+        for j in range(i, m.rank):
             entry = m.gram[i][j]
+            if entry.is_zero:
+                continue
+            (coeffs,), eden = linalg._integer_rows([entry.power])
+            hankel = [sum(c * s for c, s in zip(coeffs, sums[n:])) for n in range(2 * d - 1)]
             for k in range(d):
+                row = [sum(basis[k][a] * hankel[a + b] for a in range(d)) for b in range(d)]
                 for l in range(d):
-                    t = field.trace(omegas[k] * omegas[l] * entry)
-                    if t.denominator != 1:
+                    t, rem = divmod(sum(x * y for x, y in zip(row, basis[l])), den * den * eden)
+                    if rem:
                         raise ValueError(
                             "trace form is not integral; Gram entries must "
                             "lie in the order spanned by the integral basis"
                         )
-                    gram[i * d + k][j * d + l] = int(t)
+                    gram[i * d + k][j * d + l] = gram[j * d + l][i * d + k] = t
     lat = Lattice(tuple(tuple(row) for row in gram))
     if lat.det == 0:
         raise DegenerateTransfer("the form is degenerate at some real embedding")
@@ -241,23 +252,31 @@ def signature_profile(m: NumberFieldLattice) -> SignatureProfile:
     return tuple(out)
 
 
-def ks_admissible(m: NumberFieldLattice) -> bool:
-    """Whether the profile is (2, m) at one embedding, (0, m+2) elsewhere.
+def _has_ks_shape(profile: SignatureProfile) -> bool:
+    r = profile[0].pos + profile[0].neg
+    head, rest = Signature(2, r - 2), Signature(0, r)
+    return r >= 2 and profile.count(head) == 1 and profile.count(rest) == len(profile) - 1
 
-    The distinguished embedding may sit at any position.  When the shape
-    matches, the trace lattice signature (2, d(m+2)-2) is also verified.
-    """
-    r = m.rank
-    if r < 2:
+
+def ks_shape(profile: SignatureProfile, total: Signature) -> bool:
+    """Whether the profile is (2, r-2) at one embedding and (0, r) at the
+    others, for rank r >= 2; the distinguished embedding may sit at any
+    position.  total is the trace lattice signature.  Signatures add over
+    the real embeddings, so total must be the sum of the profile, which is
+    (2, d*r - 2) when the shape matches; anything else raises."""
+    expected = Signature(sum(p.pos for p in profile), sum(p.neg for p in profile))
+    if total != expected:
+        raise AssertionError(f"trace signature {total} is not the profile sum {expected}")
+    return _has_ks_shape(profile)
+
+
+def ks_admissible(m: NumberFieldLattice) -> bool:
+    """ks_shape of the signature profile of m.  The trace lattice is only
+    built, to check its signature, when the profile has the shape."""
+    if m.rank < 2:
         return False
     profile = signature_profile(m)
-    head = Signature(2, r - 2)
-    rest = Signature(0, r)
-    if profile.count(head) != 1 or profile.count(rest) != len(profile) - 1:
-        return False
-    total = signature(trace_lattice(m))
-    assert total == Signature(2, m.field.degree * r - 2)
-    return True
+    return _has_ks_shape(profile) and ks_shape(profile, signature(trace_lattice(m)))
 
 
 def feasibility_table() -> tuple[FeasibilityRow, ...]:

@@ -5,10 +5,11 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, Smith invariant factors from determinantal
 divisors, Clifford words normalized by adjacent
-rewriting, the Gauss and Milgram sums term by term in floating point, and
-the sign of a + b sqrt(n) in closed form.  Nothing imports from the
-enumeration, theta, linalg, clifford, gauss or numberfield modules, except
-the Kuga-Satake forms: ks_forms is the entry-by-entry product-and-trace
+rewriting, the Gauss and Milgram sums term by term in floating point,
+the sign of a + b sqrt(n) in closed form, and the trace form over a
+number field entry by entry through companion-matrix traces.  Nothing
+imports from the enumeration, theta, linalg, clifford, gauss, numberfield
+or transfer modules, except the Kuga-Satake forms: ks_forms is the entry-by-entry product-and-trace
 loop, on clifford's products (checked against the rewriting oracle) with
 monomial traces summed word by word instead of in closed form.
 """
@@ -105,6 +106,42 @@ def quadratic_sign(a, b, n: int) -> int:
     if not sa:
         return sb
     return sa if a * a > n * b * b else sb
+
+
+def _mulmod(p, q, poly) -> list[Fraction]:
+    """p * q mod the monic poly, in Fraction power coordinates."""
+    d = len(poly) - 1
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += Fraction(a) * b
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        for i, f in enumerate(poly):
+            out[top - d + i] -= c * f
+    return (out + [Fraction(0)] * d)[:d]
+
+
+def companion_trace(poly, x) -> Fraction:
+    """Trace of multiplication by x on Q[t]/(poly): the sum over k of the
+    t^k coordinate of x t^k."""
+    d = len(poly) - 1
+    return sum((_mulmod(x, [0] * k + [1], poly)[k] for k in range(d)), Fraction(0))
+
+
+def trace_form(poly, basis, gram) -> list[list[int]]:
+    """The Z-Gram tr(omega_k omega_l g_ij), lattice index outer and basis
+    index inner, one product and companion trace per entry; basis rows and
+    Gram entries are power coordinates.  ValueError on a non-integral
+    trace."""
+    d, r = len(poly) - 1, len(gram)
+    out = [[0] * (r * d) for _ in range(r * d)]
+    for i, j, k, l in itertools.product(range(r), range(r), range(d), range(d)):
+        t = companion_trace(poly, _mulmod(_mulmod(basis[k], basis[l], poly), gram[i][j], poly))
+        if t.denominator != 1:
+            raise ValueError("trace form is not integral")
+        out[i * d + k][j * d + l] = int(t)
+    return out
 
 
 def _box_radii(lat: Lattice, bound: Fraction) -> list[int]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3cycles import clifford
+from k3cycles import clifford, transfer
 from k3cycles.cli import EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 
@@ -22,6 +22,18 @@ def invoke_json(capsys, *argv):
     doc = json.loads(out)
     assert doc["schema_version"] == 1
     return doc
+
+
+def quintic_input(tmp_path):
+    """A diagonal rank-4 form over Q(2cos(2pi/11)): a rank-20 trace lattice."""
+    diag = [[-2, 2, -2, 0, -2], [1, 1, 1, 1, -1], [-3, 1, -2, 1, 1], [2, -2, 1, 0, -1]]
+    zero = [0] * 5
+    src = tmp_path / "quintic.json"
+    src.write_text(json.dumps({
+        "field": {"poly": [1, 3, -3, -4, 1, 1]},
+        "gram": [[diag[i] if i == j else zero for j in range(4)] for i in range(4)],
+    }))
+    return src
 
 
 def error_json(capsys, expected_code, *argv):
@@ -103,14 +115,7 @@ class TestInfo:
         assert doc["discriminant_group"] == [2, 4, 12]
 
     def test_rank_20_quintic_transfer_is_fast(self, capsys, tmp_path):
-        # trace form over Q(2cos(2pi/11)) of a diagonal rank-4 form
-        diag = [[-2, 2, -2, 0, -2], [1, 1, 1, 1, -1], [-3, 1, -2, 1, 1], [2, -2, 1, 0, -1]]
-        zero = [0] * 5
-        src = tmp_path / "quintic.json"
-        src.write_text(json.dumps({
-            "field": {"poly": [1, 3, -3, -4, 1, 1]},
-            "gram": [[diag[i] if i == j else zero for j in range(4)] for i in range(4)],
-        }))
+        src = quintic_input(tmp_path)
         out = tmp_path / "trace.json"
         code, _, err = invoke(capsys, "transfer", "--input", str(src), "--output", str(out))
         assert code == EXIT_OK, err
@@ -506,6 +511,38 @@ class TestTransfer:
         doc = invoke_json(capsys, "transfer", "--input", str(path))
         assert doc["profile"] == [[1, 0], [0, 1]]
         assert doc["signature"] == [1, 1]
+
+    # diag(theta, theta) over x^3 - 3x - 1 has the shape; diag(1, 1) over
+    # Q(sqrt 2) has not
+    @pytest.mark.parametrize("doc, admissible", [
+        ({"field": {"poly": [-1, -3, 0, 1]},
+          "gram": [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0]]]}, True),
+        ({"field": {"poly": [-2, 0, 1]}, "gram": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, False),
+    ])
+    def test_one_profile_and_one_trace_lattice(
+        self, capsys, tmp_path, monkeypatch, doc, admissible
+    ):
+        want = transfer.ks_admissible(transfer.NumberFieldLattice.from_dict(doc))
+        assert want is admissible
+        calls = {}
+        for name in ("signature_profile", "trace_lattice"):
+            def counted(m, fn=getattr(transfer, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(m)
+            monkeypatch.setattr(transfer, name, counted)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        out = invoke_json(capsys, "transfer", "--input", str(path))
+        assert calls == {"signature_profile": 1, "trace_lattice": 1}
+        assert out["admissible"] is want
+
+    def test_rank_4_quintic_is_fast(self, capsys, tmp_path):
+        src = quintic_input(tmp_path)
+        start = time.perf_counter()
+        doc = invoke_json(capsys, "transfer", "--input", str(src))
+        assert time.perf_counter() - start < 0.5
+        assert doc["rank"] == 20
+        assert doc["signature"] == [sum(p) for p in zip(*doc["profile"])]
 
     def test_missing_input(self, capsys):
         error_json(capsys, EXIT_FILE, "transfer", "--input", "/no/file.json")

@@ -1,5 +1,6 @@
 """Totally real fields: certified embeddings, traces, integral bases."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -268,3 +269,52 @@ def test_quadratic_sign_matches_closed_form(case):
     # embedding 0 sends the generator to -sqrt(n), embedding 1 to +sqrt(n)
     assert field.sign_at(0, x) == oracles.quadratic_sign(a, -b, n)
     assert field.sign_at(1, x) == oracles.quadratic_sign(a, b, n)
+
+
+def _sympy_intervals(sympy, poly, k):
+    """sympy's isolating intervals of the real roots of poly, of width at
+    most 2^-k, ascending; a rational root comes as (r, r)."""
+    f = sympy.Poly(list(reversed(poly)), sympy.Symbol("x"))
+    return sorted(
+        (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+        for (a, b), _mult in f.intervals(eps=sympy.Rational(1, 2**k))
+    )
+
+
+def _sympy_signs(sympy, poly, c):
+    """The sign of theta - c at each root theta of poly, ascending, with the
+    intervals refined until none holds c in its interior or endpoints."""
+    k = 256
+    while True:
+        signs = []
+        for lo, hi in _sympy_intervals(sympy, poly, k):
+            if lo == hi:
+                signs.append((lo > c) - (lo < c))
+            elif c < lo or c > hi:
+                signs.append(1 if c < lo else -1)
+        if len(signs) == len(poly) - 1:
+            return signs
+        k *= 2
+
+
+@pytest.mark.parametrize("poly", [
+    (-1, -3, 0, 1),
+    (1, 3, -3, -4, 1, 1),  # 2cos(2pi/11)
+    (0, -1, 0, 1),  # x^3 - x: exact rational roots, lo == hi at 0
+])
+def test_integer_sturm_signs_match_sympy(poly):
+    sympy = pytest.importorskip("sympy")
+    field = TotallyRealField(poly)
+    eps = Fraction(1, 2**200)
+    near = set()
+    for lo, hi in _sympy_intervals(sympy, poly, 201):
+        near |= {lo, hi, (lo + hi) / 2} if lo < hi else {lo, lo - eps, lo + eps}
+    near = sorted(near)
+    want = {c: _sympy_signs(sympy, poly, c) for c in near}
+    linear = {c: field.gen() - field.from_power([c]) for c in near}
+    for c in near:
+        assert [field.sign_at(i, linear[c]) for i in range(field.degree)] == want[c]
+    for c1, c2 in itertools.combinations(near, 2):
+        x = linear[c1] * linear[c2]
+        signs = [a * b for a, b in zip(want[c1], want[c2])]
+        assert [field.sign_at(i, x) for i in range(field.degree)] == signs

@@ -1,11 +1,13 @@
 """Trace-form transfer, signature profiles, quaternion trace-zero lattices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from k3cycles.errors import DegenerateTransfer, NotAnOrder
 from k3cycles.lattice import Signature, signature
 from k3cycles.numberfield import TotallyRealField
@@ -16,6 +18,7 @@ from k3cycles.transfer import (
     feasibility_csv,
     feasibility_table,
     ks_admissible,
+    ks_shape,
     number_field_lattice,
     quaternion_trace_zero,
     signature_profile,
@@ -135,6 +138,15 @@ class TestAdmissible:
         )
         assert ks_admissible(m) is True
         assert signature(trace_lattice(m)) == Signature(2, 4)
+
+    def test_shape_checks_the_trace_signature(self):
+        profile = (Signature(0, 2), Signature(0, 2), Signature(2, 0))
+        assert ks_shape(profile, Signature(2, 4)) is True
+        assert ks_shape(profile[:2], Signature(0, 4)) is False
+        # signatures add over the embeddings; a wrong total is a bug, and
+        # the check must hold under python -O too
+        with pytest.raises(AssertionError):
+            ks_shape(profile, Signature(3, 3))
 
 
 class TestFeasibility:
@@ -262,3 +274,60 @@ def test_additivity_random_diagonals(field, rank, seed):
     assert total.pos == sum(p.pos for p in prof)
     assert total.neg == sum(p.neg for p in prof)
     assert trace_lattice(m).rank == field.degree * rank
+
+
+# (poly, integral basis in power coordinates), degrees 1 to 5; None is the
+# power basis
+ORACLE_FIELDS = {
+    (0, 1): None,
+    (-2, 0, 1): ((1, 0), (0, 2)),  # the order Z[2 sqrt 2], not Z[sqrt 2]
+    (-5, 0, 1): ((1, 0), (Fraction(1, 2), Fraction(1, 2))),  # golden basis
+    (-1, 0, 1): None,  # (x - 1)(x + 1)
+    (-1, -3, 0, 1): None,
+    # x^3 - x with the idempotent (t + t^2)/2: reducible, a non-power order
+    (0, -1, 0, 1): ((1, 0, 0), (0, 1, 0), (0, Fraction(1, 2), Fraction(1, 2))),
+    (2, 0, -4, 0, 1): None,
+    (1, 3, -3, -4, 1, 1): None,  # 2cos(2pi/11)
+}
+ORACLE_BUILT = {
+    poly: TotallyRealField(poly, basis or ()) for poly, basis in ORACLE_FIELDS.items()
+}
+
+
+@st.composite
+def field_grams(draw):
+    field = ORACLE_BUILT[draw(st.sampled_from(sorted(ORACLE_BUILT)))]
+    d = field.degree
+    rank = draw(st.integers(1, 3))
+
+    def entry(off_diagonal):
+        x = field.element(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        if draw(st.booleans()):
+            # rational power coordinates: often outside the order
+            x = x + field.from_power([
+                Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3))))
+                for _ in range(d)
+            ])
+        return field.one() if off_diagonal and x.is_zero else x
+
+    upper = {(i, j): entry(i != j) for i in range(rank) for j in range(i, rank)}
+    return field, [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_grams())
+def test_trace_lattice_matches_oracle(case):
+    field, gram = case
+    m = number_field_lattice(field, gram)
+    powers = [[x.power for x in row] for row in gram]
+    try:
+        want = oracles.trace_form(field.poly, field.basis, powers)
+    except ValueError:
+        with pytest.raises(ValueError, match="not integral"):
+            trace_lattice(m)
+        return
+    if oracles.det(want) == 0:
+        with pytest.raises(DegenerateTransfer):
+            trace_lattice(m)
+    else:
+        assert trace_lattice(m).gram == tuple(map(tuple, want))
