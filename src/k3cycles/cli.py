@@ -98,13 +98,6 @@ def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(","))
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
-
-
 def _cmd_info(args) -> int:
     lat = _load_lattice(args.lattice)
     sig = signature(lat)
@@ -291,12 +284,6 @@ _LATTICE_HELP = (
 def _build_parser(name: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"k3cycles {name}")
     p.add_argument("--output", metavar="PATH", help="write the artifact here instead of stdout")
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="reserved: accepted but not used yet; every subcommand runs single-threaded",
-    )
     if name in ("info", "count", "theta", "gauss", "milgram", "clifford", "ks"):
         p.add_argument("--lattice", required=True, help=_LATTICE_HELP)
     if name == "count":

@@ -1,8 +1,8 @@
 """Exact lattice point enumeration for positive definite Gram matrices.
 
-The engine is one integer Fincke-Pohst recursion.  An exact LDL split
-Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 is scaled once per call to
-integer rows a_ij and weights W_i with K Q(x) = sum_i W_i (a_i . x)^2, and
+The engine is one integer Fincke-Pohst recursion.  The integer pivot
+rows of linalg's symmetric pass give, once per call, rows a_ij and
+weights W_i of the LDL split K Q(x) = sum_i W_i (a_i . x)^2, and
 coordinates are scaled by the denominator D of the coset shift, so every
 norm is an integer N = K D^2 Q(x).  Coordinates are chosen from the last
 to the first, each level's window is an exact math.isqrt, and no floating
@@ -50,33 +50,28 @@ def _enum_limit() -> int:
     return v if v > 0 else _DEFAULT_LIMIT
 
 
-def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Split Q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2; needs Q > 0."""
-    m, _ = linalg._symmetric_pass(gram)
-    n = len(m)
-    d = [m[i][i] for i in range(n)]
-    if any(x <= 0 for x in d):
-        raise IndefiniteLattice("Gram matrix is not positive definite")
-    u = [[Fraction(0)] * (i + 1) + [m[i][j] / d[i] for j in range(i + 1, n)]
-         for i in range(n)]
-    return d, u
-
-
 def _integer_form(gram) -> tuple[list[list[int]], list[int], int]:
     """Integer data (a, W, K) of the LDL split, with
     K Q(x) = sum_i W_i (sum_{j>=i} a_ij x_j)^2.
 
-    Row i of u is scaled by the lcm e_i of its denominators (a_ii = e_i),
-    W_i = K d_i / e_i^2 and K is the lcm of the denominators of d_i / e_i^2.
-    Raises IndefiniteLattice unless Q > 0.
+    Row i of linalg's symmetric pass is M_i / s_i with d_i = M_ii / s_i;
+    a_i is M_i from column i on, divided by its content g_i, so
+    W_i = K g_i^2 / (s_i M_ii), and K is the lcm of the denominators of
+    g_i^2 / (s_i M_ii).  Raises IndefiniteLattice unless Q > 0.
     """
-    d, u = _ldl(gram)
-    n = len(d)
-    e = [math.lcm(1, *(v.denominator for v in row)) for row in u]
-    rows = [[e[i] if j == i else int(e[i] * u[i][j]) for j in range(n)] for i in range(n)]
-    ratios = [d[i] / (e[i] * e[i]) for i in range(n)]
-    k = math.lcm(1, *(q.denominator for q in ratios))
-    return rows, [int(k * q) for q in ratios], k
+    m, s = linalg._symmetric_pass(gram)
+    n = len(m)
+    if any(m[i][i] <= 0 for i in range(n)):
+        raise IndefiniteLattice("Gram matrix is not positive definite")
+    rows, ratios = [], []
+    for i, (row, si) in enumerate(zip(m, s)):
+        g = math.gcd(*row[i:])
+        rows.append([0] * i + [x // g for x in row[i:]])
+        num, den = g * g, si * row[i]
+        h = math.gcd(num, den)
+        ratios.append((num // h, den // h))
+    k = math.lcm(1, *(den for _num, den in ratios))
+    return rows, [k // den * num for num, den in ratios], k
 
 
 def _denominator(shift: Sequence[Fraction]) -> int:
@@ -220,11 +215,6 @@ def _validate_target(target) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def _target_is_psd(rows) -> bool:
-    _p, q, _z = linalg.inertia(rows)
-    return q == 0
-
-
 def _tuple_cosets(lat: Lattice, r: int, cosets: Optional[Sequence]) -> list[list[Fraction]]:
     if cosets is None:
         return [[Fraction(0)] * lat.rank for _ in range(r)]
@@ -281,7 +271,7 @@ def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> 
     _tuple_search.
     """
     rows = _validate_target(target)
-    if not _target_is_psd(rows):
+    if linalg.inertia(rows)[1]:
         return 0
     form = _integer_form(lat.gram)
     shifts = _tuple_cosets(lat, len(rows), cosets)

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are lists of lists, row major.  Two loops do all the rational
-elimination.  _gauss_jordan is a fraction-free (Bareiss) Gauss-Jordan on
-integer rows, every entry an integer minor; det, rank, solve and inverse
-clear row denominators before it and divide by its pivot only to build
-their Fraction results.  _symmetric_pass, the Schur pass behind inertia,
-congruence_diagonalize and the enumeration LDL, stays in Fraction so it
-can skip rows with a zero multiplier, which keeps the nearly diagonal
+elimination, both on integer rows after clearing row denominators, and
+Fraction appears only in the results.  _gauss_jordan is a fraction-free
+(Bareiss) Gauss-Jordan, every entry an integer minor; det, rank, solve
+and inverse divide by its pivot only to build their results.
+_symmetric_pass, the Schur pass behind inertia, congruence_diagonalize
+and the enumeration LDL, keeps each row over its own denominator in
+lowest terms instead of a common Bareiss scale, so a step touches only
+the rows with a nonzero multiplier, which keeps the nearly diagonal
 Clifford forms cheap.  One Smith loop on ints serves discriminant groups
 and integer kernels; on square nonsingular input it works modulo |det|
 (Domich-Kannan-Trotter), so its entries stay below |det|.
@@ -16,18 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
 
-
-def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 def int_identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -44,18 +40,19 @@ def mat_mul(a, b):
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+        list(row) == list(col) for row, col in zip(a, zip(*a)))
 
 
-def _integer_rows(a) -> tuple[IntMatrix, int]:
+def _integer_rows(a) -> tuple[IntMatrix, list[int]]:
     """Rows of an int/Fraction matrix times the lcm of their denominators
-    (same row space), and the product of those lcms."""
-    rows, scale = [], 1
+    (same row space), and those lcms."""
+    rows, scales = [], []
     for row in a:
-        s = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return rows, scale
+        s = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (s // x.denominator) for x in row] if s > 1
+                    else [x.numerator for x in row])
+        scales.append(s)
+    return rows, scales
 
 
 def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
@@ -97,9 +94,9 @@ def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
 
 def det(a) -> Fraction:
     """Exact determinant of a square int/Fraction matrix."""
-    m, scale = _integer_rows(a)
+    m, scales = _integer_rows(a)
     pivots, p, sign = _gauss_jordan(m)
-    return Fraction(sign * p, scale) if len(pivots) == len(m) else Fraction(0)
+    return Fraction(sign * p, math.prod(scales)) if len(pivots) == len(m) else Fraction(0)
 
 
 def rank(a) -> int:
@@ -132,49 +129,67 @@ def inverse(a: Matrix) -> Optional[Matrix]:
     return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
-def _symmetric_pass(a, basis: bool = False) -> tuple[Matrix, Optional[Matrix]]:
-    """Congruence diagonalization of a symmetric matrix by Schur steps.
+def _symmetric_pass(a, basis: bool = False) -> tuple[IntMatrix, list[int]]:
+    """Congruence diagonalization of a symmetric matrix by Schur steps, on
+    integer rows over positive row denominators.
 
-    Returns (m, b): d is the diagonal of m, and right of it row i keeps the
-    pivot row of step i (the LDL rows when a is positive definite, as then
-    no pivoting happens).  A zero pivot is swapped with a later nonzero
-    diagonal entry, or else becomes 2*m[i][j] by adding row and column j;
-    with no such j, d_i = 0.  b, built only when asked, has rows with
-    b[i] . a . b[j] = d_i if i = j and 0 otherwise.
+    Returns (m, s): d_i = m[i][i] / s[i], and from column i on, row i over
+    s[i] is the pivot row of step i (the LDL rows when a is positive
+    definite, as then no pivoting happens).  A zero pivot is swapped with a
+    later nonzero diagonal entry, or else becomes 2*m[i][j] by adding row
+    and column j; with no such j, d_i = 0.  With basis, row i goes on with
+    n more entries, over the same s[i], that form a row b_i with
+    b_i . a . b_j = d_i if i = j and 0 otherwise.  A step touches only the
+    rows with a nonzero multiplier, and a row it rescales is reduced to
+    lowest terms; entries left of the current column are stale.
     """
     n = len(a)
-    m = frac_matrix(a)
-    b = identity(n) if basis else None
+    m, s = _integer_rows(a)
+    if basis:
+        for i, row in enumerate(m):
+            row += [s[i] * (i == j) for j in range(n)]
+
+    def reduce(r, lo):
+        g = math.gcd(s[r], *m[r][lo:])
+        if g > 1:
+            m[r][lo:] = [x // g for x in m[r][lo:]]
+            s[r] //= g
+
     for i in range(n):
         if m[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            j = next((k for k in range(i + 1, n) if m[k][k]), None)
             if j is not None:
                 m[i], m[j] = m[j], m[i]
-                for row in m:
+                s[i], s[j] = s[j], s[i]
+                for row in m[i:]:
                     row[i], row[j] = row[j], row[i]
-                if b is not None:
-                    b[i], b[j] = b[j], b[i]
             else:
-                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                j = next((k for k in range(i + 1, n) if m[i][k]), None)
                 if j is None:
                     continue
-                m[i] = [x + y for x, y in zip(m[i], m[j])]
-                for row in m:
+                si, sj = s[i], s[j]
+                m[i][i:] = [x * sj + y * si for x, y in zip(m[i][i:], m[j][i:])]
+                s[i] = si * sj
+                for row in m[i:]:
                     row[i] += row[j]
-                if b is not None:
-                    b[i] = [x + y for x, y in zip(b[i], b[j])]
+                reduce(i, i)
         top = m[i]
-        piv = top[i]
-        nonzero = [c for c in range(i + 1, n) if top[c] != 0]
+        p = top[i]
+        cols = list(compress(range(i + 1, len(top)), top[i + 1:]))
         for r in range(i + 1, n):
             row = m[r]
-            if row[i] != 0:
-                f = row[i] / piv
-                for c in nonzero:
+            if row[i]:
+                # row -= (f / q) * top with f / q = row[i] / p in lowest terms
+                g = math.gcd(row[i], p)
+                q, f = abs(p) // g, row[i] // g * (1 if p > 0 else -1)
+                if q > 1:
+                    row[i + 1:] = [q * x for x in row[i + 1:]]
+                    s[r] *= q
+                for c in cols:
                     row[c] -= f * top[c]
-                if b is not None:
-                    b[r] = [x - f * y for x, y in zip(b[r], b[i])]
-    return m, b
+                if q > 1:
+                    reduce(r, i + 1)
+    return m, s
 
 
 def inertia(a) -> tuple[int, int, int]:
@@ -186,8 +201,9 @@ def inertia(a) -> tuple[int, int, int]:
     if not is_symmetric(a):
         raise ValueError("inertia requires a symmetric matrix")
     m, _ = _symmetric_pass(a)
-    d = [m[i][i] for i in range(len(m))]
-    return sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d)
+    d = [row[i] for i, row in enumerate(m)]
+    p, q = sum(x > 0 for x in d), sum(x < 0 for x in d)
+    return p, q, len(d) - p - q
 
 
 def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
@@ -199,8 +215,10 @@ def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
     """
     if not is_symmetric(a):
         raise ValueError("congruence diagonalization requires a symmetric matrix")
-    m, b = _symmetric_pass(a, basis=True)
-    return b, [m[i][i] for i in range(len(m))]
+    n = len(a)
+    m, s = _symmetric_pass(a, basis=True)
+    return ([[Fraction(x, si) for x in row[n:]] for row, si in zip(m, s)],
+            [Fraction(row[i], si) for i, (row, si) in enumerate(zip(m, s))])
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -166,12 +166,14 @@ class TotallyRealField:
         if len(self._chain[-1]) != 1:
             raise ValueError("the defining polynomial must be squarefree")
         d = self.degree
+        supplied = bool(self.basis)
         rows = self.basis or [[int(i == j) for j in range(d)] for i in range(d)]
         basis = tuple(tuple(Fraction(c) for c in row) for row in rows)
         object.__setattr__(self, "basis", basis)
         if len(self._isolating) != d:
             raise ValueError("the defining polynomial is not totally real")
-        self._validate_order()
+        if supplied:
+            self._validate_order()
 
     @property
     def degree(self) -> int:

@@ -197,23 +197,6 @@ class FourierTable:
         return self._lookup(target)[0]
 
 
-def _psd_rank(t: list[list[int]]) -> Optional[int]:
-    """The rank of the symmetric integer matrix t if it is psd, else None.
-
-    t is psd iff its pivot d >= 0, a zero pivot has a zero row, and the
-    Schur complement, scaled by d > 0 to d*rest - b*b^T, is psd.
-    """
-    rank = 0
-    while t:
-        (d, *b), t = t[0], [row[1:] for row in t[1:]]
-        if d < 0 or (d == 0 and any(b)):
-            return None
-        if d:
-            rank += 1
-            t = [[d * x - bi * bj for x, bj in zip(row, b)] for row, bi in zip(t, b)]
-    return rank
-
-
 def _psd_targets(r: int, bound: int):
     """All psd symmetric integer r x r matrices with trace <= bound, with
     their ranks, in deterministic lexicographic order."""
@@ -228,8 +211,8 @@ def _psd_targets(r: int, bound: int):
             t = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
             for (i, j), x in zip(pairs, off):
                 t[i][j] = t[j][i] = x
-            rank = _psd_rank(t)
-            if rank is not None:
+            rank, q, _z = linalg.inertia(t)
+            if not q:
                 yield tuple(tuple(row) for row in t), rank
 
 

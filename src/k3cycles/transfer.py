@@ -134,7 +134,7 @@ def trace_lattice(m: NumberFieldLattice) -> Lattice:
             entry = m.gram[i][j]
             if entry.is_zero:
                 continue
-            (coeffs,), eden = linalg._integer_rows([entry.power])
+            (coeffs,), (eden,) = linalg._integer_rows([entry.power])
             hankel = [sum(c * s for c, s in zip(coeffs, sums[n:])) for n in range(2 * d - 1)]
             for k in range(d):
                 row = [sum(basis[k][a] * hankel[a + b] for a in range(d)) for b in range(d)]

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: rectangular boxes from
 the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
-reference for linalg, Smith invariant factors from determinantal
+reference for linalg, the Schur pass of linalg's congruence
+diagonalization in Fraction, Smith invariant factors from determinantal
 divisors, Clifford words normalized by adjacent
 rewriting, the Gauss and Milgram sums term by term in floating point,
 the sign of a + b sqrt(n) in closed form, and the trace form over a
@@ -79,6 +80,57 @@ def inverse(a):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in m]
+
+
+def symmetric_pass(a, basis: bool = False):
+    """Congruence diagonalization of a symmetric matrix by Schur steps in
+    Fraction, with linalg's pivot rule.
+
+    Returns (m, b): d is the diagonal of m.  A zero pivot is swapped with a
+    later nonzero diagonal entry, or else becomes 2*m[i][j] by adding row
+    and column j; with no such j, d_i = 0.  b, built only when asked, has
+    rows with b[i] . a . b[j] = d_i if i = j and 0 otherwise.
+    """
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if basis else None
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+                if b is not None:
+                    b[i], b[j] = b[j], b[i]
+            else:
+                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                if j is None:
+                    continue
+                m[i] = [x + y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[i] += row[j]
+                if b is not None:
+                    b[i] = [x + y for x, y in zip(b[i], b[j])]
+        top = m[i]
+        piv = top[i]
+        nonzero = [c for c in range(i + 1, n) if top[c] != 0]
+        for r in range(i + 1, n):
+            row = m[r]
+            if row[i] != 0:
+                f = row[i] / piv
+                for c in nonzero:
+                    row[c] -= f * top[c]
+                if b is not None:
+                    b[r] = [x - f * y for x, y in zip(b[r], b[i])]
+    return m, b
+
+
+def inertia(a) -> tuple[int, int, int]:
+    """Sign counts (positive, negative, zero) of symmetric_pass's diagonal."""
+    m, _ = symmetric_pass(a)
+    d = [m[i][i] for i in range(len(m))]
+    return sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d)
 
 
 def invariant_factors(a) -> list[int]:

@@ -71,10 +71,9 @@ class TestDispatch:
         err = error_json(capsys, EXIT_INVALID, "count", "--lattice", "E8")
         assert err["type"] == "InvalidArguments"
 
-    def test_threads_must_be_positive(self, capsys):
-        error_json(
-            capsys, EXIT_INVALID, "info", "--lattice", "K3", "--threads", "0"
-        )
+    def test_threads_is_not_an_option(self, capsys):
+        err = error_json(capsys, EXIT_INVALID, "info", "--lattice", "K3", "--threads", "4")
+        assert err["type"] == "InvalidArguments"
 
 
 class TestInfo:
@@ -146,11 +145,6 @@ class TestInfo:
         _, out1, _ = invoke(capsys, "info", "--lattice", "K3")
         _, out2, _ = invoke(capsys, "info", "--lattice", "K3")
         assert out1 == out2
-
-    def test_threads_do_not_change_output(self, capsys):
-        _, out1, _ = invoke(capsys, "info", "--lattice", "E8")
-        _, out4, _ = invoke(capsys, "info", "--lattice", "E8", "--threads", "4")
-        assert out1 == out4
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -88,9 +88,9 @@ class TestRepCount:
         assert rep_count(e8_lattice(), 2) == 240
 
     def test_rejects_indefinite(self):
-        h = Lattice(((0, 1), (1, 0)))
-        with pytest.raises(IndefiniteLattice):
-            rep_count(h, 2)
+        for gram in (((0, 1), (1, 0)), ((2, 2), (2, 2))):
+            with pytest.raises(IndefiniteLattice):
+                rep_count(Lattice(gram), 2)
 
     def test_negative_target(self):
         assert rep_count(root_a1(), -2) == 0
