@@ -3,9 +3,10 @@
 Shows three exact computations end to end: the admissible rank-2 form
 sqrt(2)*<1, 1> over Q(sqrt 2), the trace-zero lattice of the Hamilton
 quaternion order over Q, and the full table of degrees and ranks with
-d(m + 2) <= 21.  The table is compared with the recorded
-tests/data/feasibility_table.csv; any differing row is printed and the
-script exits with status 1.
+d(m + 2) <= 21.  The two forms' signature profiles are checked against
+their known values, ((0, 2), (2, 0)) and ((3, 0),), and the table is
+compared with the recorded tests/data/feasibility_table.csv; any
+mismatch is printed and the script exits with status 1.
 
 Usage: python3 scripts/transfer_survey.py
 """
@@ -28,30 +29,37 @@ from k3cycles.transfer import (
 GOLDEN_CSV = Path(__file__).resolve().parent.parent / "tests" / "data" / "feasibility_table.csv"
 
 
-def show_form(title, m):
+def show_form(title, m, want):
+    """Print the form's transfer; True when its profile is want."""
     lat = trace_lattice(m)
+    profile = tuple(tuple(s) for s in signature_profile(m))
     print(title)
-    print(f"  profile over embeddings: {[tuple(s) for s in signature_profile(m)]}")
+    print(f"  profile over embeddings: {list(profile)}")
     print(f"  trace lattice rank {lat.rank}, signature {tuple(signature(lat))}")
     for row in lat.gram:
         print(f"    {row}")
     print(f"  admissible: {ks_admissible(m)}")
+    if profile != want:
+        print(f"  profile differs from the known {want}")
+    return profile == want
 
 
 def main():
     sqrt2 = TotallyRealField.quadratic(2)
-    show_form(
+    ok = show_form(
         "sqrt(2) * <1, 1> over Q(sqrt 2):",
         diagonal_lattice(sqrt2, [[0, 1], [0, 1]]),
+        ((0, 2), (2, 0)),
     )
 
     rationals = TotallyRealField.rationals()
     order = tuple(
         tuple((1,) if t == s else (0,) for t in range(4)) for s in range(4)
     )
-    show_form(
+    ok &= show_form(
         "\ntrace-zero part of the Hamilton order Z<1, i, j, k>:",
         quaternion_trace_zero(rationals, (-1,), (-1,), order),
+        ((3, 0),),
     )
 
     print("\nfeasible (degree d, rank m + 2) pairs and the count size N:")
@@ -69,7 +77,7 @@ def main():
             print(f"  row {i}: computed {g}, recorded {w}")
         return 1
     print(f"\nfeasibility table matches {GOLDEN_CSV.name} ({len(got)} rows)")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -199,8 +199,8 @@ def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction,
     return {Fraction(norm, unit): c for norm, c in counts.items()}
 
 
-def _validate_target(target) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in target)
+def _validate_target(target) -> tuple[tuple[Fraction, ...], ...]:
+    rows = tuple(tuple(Fraction(x) for x in row) for row in target)
     r = len(rows)
     for row in rows:
         if len(row) != r:
@@ -268,7 +268,8 @@ def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> 
 
     Each slot's shell {x in L + h_k : Q(x) = T_kk} is enumerated once
     (slots with the same norm and coset share it) and filtered by
-    _tuple_search.
+    _tuple_search.  With s the common denominator of the cosets, the
+    count is 0 unless every s^2 T_ik is an integer.
     """
     rows = _validate_target(target)
     if linalg.inertia(rows)[1]:
@@ -276,6 +277,9 @@ def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> 
     form = _integer_form(lat.gram)
     shifts = _tuple_cosets(lat, len(rows), cosets)
     scale = math.lcm(1, *map(_denominator, shifts))
+    scaled = [[x * scale * scale for x in row] for row in rows]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        return 0
     budget = _Budget(_enum_limit())
     shells: dict[tuple, list] = {}
     keys = [(rows[k][k], tuple(h)) for k, h in enumerate(shifts)]
@@ -283,11 +287,12 @@ def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> 
         if (t, h) not in shells:
             found: list[list[int]] = []
             factor = scale // _denominator(h)
-            _sweep(form, h, Fraction(t),
+            _sweep(form, h, t,
                    lambda xs, _n, w: found.extend(_signed(xs, w, factor)),
                    not any(h), budget, exact=True)
             shells[t, h] = _shell(lat.gram, found)
-    return _tuple_search(rows, [shells[key] for key in keys], scale * scale, budget)
+    return _tuple_search([[x.numerator for x in row] for row in scaled],
+                         [shells[key] for key in keys], 1, budget)
 
 
 def _zero_coset_tuple_counts(lat: Lattice, targets: Sequence, bound: int) -> list[int]:

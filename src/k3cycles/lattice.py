@@ -55,6 +55,8 @@ class Lattice:
         for row in g:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
+        if g != tuple(map(tuple, self.gram)):
+            raise ValueError("Gram entries must be integers")
         for i in range(n):
             for j in range(n):
                 if g[i][j] != g[j][i]:

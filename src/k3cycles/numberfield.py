@@ -279,25 +279,13 @@ class TotallyRealField:
     def gen(self) -> FieldElement:
         return self.from_power([0, 1])
 
-    def _mul_matrix(self, x: FieldElement) -> list[list[Fraction]]:
-        """Matrix of multiplication by x in the power basis: column k is
-        x * theta^k mod f."""
-        col = list(x.power)
-        cols = []
-        for _ in range(self.degree):
-            cols.append(col)
-            # theta * col, with theta^d = -(f_0 + ... + f_{d-1} theta^{d-1})
-            top = col[-1]
-            col = [c - top * fj for c, fj in zip([Fraction(0)] + col[:-1], self.poly)]
-        return [list(row) for row in zip(*cols)]
-
     @cached_property
     def _power_sums(self) -> list[int]:
-        """The Newton power sums s_n = tr(theta^n) for n <= 3d - 3, ints
+        """The Newton power sums s_n = tr(theta^n) for n <= 3d - 2, ints
         because f is monic and integral."""
         d, a = self.degree, self.poly
         sums = [d]
-        for n in range(1, 3 * d - 2):
+        for n in range(1, 3 * d - 1):
             s = -sum(a[d - i] * sums[n - i] for i in range(1, min(n, d + 1)))
             sums.append(s - n * a[d - n] if n <= d else s)
         return sums
@@ -305,17 +293,6 @@ class TotallyRealField:
     def trace(self, x: FieldElement) -> Fraction:
         """Trace of the multiplication-by-x matrix in the power basis."""
         return sum((c * s for c, s in zip(x.power, self._power_sums)), Fraction(0))
-
-    def invert(self, x: FieldElement) -> FieldElement:
-        """Multiplicative inverse; ZeroDivisionError for zero divisors."""
-        rhs = [Fraction(int(j == 0)) for j in range(self.degree)]
-        sol = linalg.solve(self._mul_matrix(x), rhs)
-        if sol is None:
-            raise ZeroDivisionError("element is zero or a zero divisor")
-        inv = self.from_power(sol)
-        if not (inv * x - self.one()).is_zero:
-            raise ZeroDivisionError("element is zero or a zero divisor")
-        return inv
 
     def embeddings(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Isolating intervals for the real roots, ascending."""

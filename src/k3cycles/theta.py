@@ -185,7 +185,7 @@ class FourierTable:
 
     def _lookup(self, target) -> tuple[int, int]:
         key = tuple(tuple(int(x) for x in row) for row in target)
-        found = self._index.get(key)
+        found = self._index.get(key) if key == tuple(map(tuple, target)) else None
         if found is None:
             raise KeyError("target outside the tabulated range")
         return found
@@ -211,9 +211,10 @@ def _psd_targets(r: int, bound: int):
             t = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
             for (i, j), x in zip(pairs, off):
                 t[i][j] = t[j][i] = x
-            rank, q, _z = linalg.inertia(t)
-            if not q:
-                yield tuple(tuple(row) for row in t), rank
+            m, _s = linalg._symmetric_pass(t)
+            d = [row[i] for i, row in enumerate(m)]
+            if min(d) >= 0:
+                yield tuple(tuple(row) for row in t), sum(x > 0 for x in d)
 
 
 def siegel_theta_table(lat: Lattice, r: int, bound: int) -> FourierTable:

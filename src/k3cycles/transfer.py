@@ -2,10 +2,12 @@
 
 An O_F-lattice with Gram entries in F becomes a Z-lattice on the basis
 {omega_k m_i} via (x, y) = tr_{F/Q} (x, y)_M; signatures add over the real
-embeddings, which is what makes the admissibility shape (one embedding of
-signature (2, m), the rest (0, m+2)) detectable exactly.  Also here: the
-(d, m, N) feasibility rows for 2 <= d(m+2) <= 21 and the trace-zero
-lattice of a quaternion order.
+embeddings.  Twisting the trace by theta - r, for r between two roots,
+flips the sign of the embeddings below r, so the per-embedding
+signatures, and with them the admissibility shape (one embedding of
+signature (2, m), the rest (0, m+2)), come exactly from the inertia of d
+integer trace forms.  Also here: the (d, m, N) feasibility rows for
+2 <= d(m+2) <= 21 and the trace-zero lattice of a quaternion order.
 """
 
 from __future__ import annotations
@@ -111,145 +113,87 @@ def diagonal_lattice(field: TotallyRealField, elems: Sequence) -> NumberFieldLat
     return NumberFieldLattice(field, rows)
 
 
-def trace_lattice(m: NumberFieldLattice) -> Lattice:
-    """The Z-lattice tr_{F/Q}(omega_k omega_l (m_i, m_j)_M).
+def _trace_gram(m: NumberFieldLattice, shift: int) -> tuple[list[list[int]], int]:
+    """Integer rows N and a scale S > 0 with N / S the Gram
+    tr_{F/Q}(theta^shift omega_k omega_l (m_i, m_j)_M).
 
-    Basis order: lattice index outer, field basis index inner, so the
-    result has rank d * rank_F.  A nonzero Gram entry e = sum e_c theta^c
-    gives the d x d block B H_e B^T / (den^2 * eden), in integers: B is the
-    integral basis times its denominator den, e_c = E_c / eden, and
-    H_e[a][b] = sum_c E_c s_(a+b+c) is a Hankel matrix in the Newton power
-    sums s_n = tr(theta^n).  Entries must come out integral (true whenever
-    the Gram entries lie in the order spanned by the basis).
+    Basis order: lattice index outer, field basis index inner, so N has
+    size d * rank_F.  A nonzero Gram entry e = sum e_c theta^c gives the
+    d x d block B H_e B^T: B is the integral basis times its denominator
+    den, e_c = E_c / eden for the lcm eden of all entry denominators, and
+    H_e[a][b] = sum_c E_c s_(a+b+c+shift) is a Hankel matrix in the Newton
+    power sums s_n = tr(theta^n).  S = den^2 * eden depends on the entries
+    only, so both shifts share it.
     """
     field = m.field
     d = field.degree
-    sums = field._power_sums
+    sums = field._power_sums[shift:]
     den = math.lcm(*(c.denominator for row in field.basis for c in row))
     basis = [[int(c * den) for c in row] for row in field.basis]
+    entries = {(i, j): m.gram[i][j].power for i in range(m.rank)
+               for j in range(i, m.rank) if not m.gram[i][j].is_zero}
+    eden = math.lcm(1, *(c.denominator for power in entries.values() for c in power))
     size = m.rank * d
     gram = [[0] * size for _ in range(size)]
-    for i in range(m.rank):
-        for j in range(i, m.rank):
-            entry = m.gram[i][j]
-            if entry.is_zero:
-                continue
-            (coeffs,), (eden,) = linalg._integer_rows([entry.power])
-            hankel = [sum(c * s for c, s in zip(coeffs, sums[n:])) for n in range(2 * d - 1)]
-            for k in range(d):
-                row = [sum(basis[k][a] * hankel[a + b] for a in range(d)) for b in range(d)]
-                for l in range(d):
-                    t, rem = divmod(sum(x * y for x, y in zip(row, basis[l])), den * den * eden)
-                    if rem:
-                        raise ValueError(
-                            "trace form is not integral; Gram entries must "
-                            "lie in the order spanned by the integral basis"
-                        )
-                    gram[i * d + k][j * d + l] = gram[j * d + l][i * d + k] = t
-    lat = Lattice(tuple(tuple(row) for row in gram))
+    for (i, j), power in entries.items():
+        coeffs = [c.numerator * (eden // c.denominator) for c in power]
+        hankel = [sum(c * s for c, s in zip(coeffs, sums[n:])) for n in range(2 * d - 1)]
+        for k in range(d):
+            row = [sum(basis[k][a] * hankel[a + b] for a in range(d)) for b in range(d)]
+            for l in range(d):
+                gram[i * d + k][j * d + l] = gram[j * d + l][i * d + k] = sum(
+                    x * y for x, y in zip(row, basis[l]))
+    return gram, den * den * eden
+
+
+def trace_lattice(m: NumberFieldLattice) -> Lattice:
+    """The Z-lattice tr_{F/Q}(omega_k omega_l (m_i, m_j)_M), lattice index
+    outer and field basis index inner, so of rank d * rank_F.  Entries
+    must come out integral (true whenever the Gram entries lie in the
+    order spanned by the basis)."""
+    gram, scale = _trace_gram(m, 0)
+    if any(x % scale for row in gram for x in row):
+        raise ValueError(
+            "trace form is not integral; Gram entries must "
+            "lie in the order spanned by the integral basis"
+        )
+    lat = Lattice(tuple(tuple(x // scale for x in row) for row in gram))
     if lat.det == 0:
         raise DegenerateTransfer("the form is degenerate at some real embedding")
     return lat
 
 
-def _diagonalize_over_field(m: NumberFieldLattice) -> list[FieldElement]:
-    """Congruence-diagonalize the Gram over F; returns the diagonal.
-
-    Pivots must be invertible in F.  For an irreducible defining
-    polynomial every nonzero element qualifies, so this only fails on a
-    degenerate form; over a product of fields (reducible polynomial) the
-    search is best-effort and failures are reported as degeneracy.
-    """
-    field = m.field
-    r = m.rank
-    a = [[m.gram[i][j] for j in range(r)] for i in range(r)]
-
-    def try_invert(x: FieldElement):
-        try:
-            return field.invert(x)
-        except ZeroDivisionError:
-            return None
-
-    diag: list[FieldElement] = []
-    for i in range(r):
-        inv = try_invert(a[i][i])
-        if inv is None:
-            swap = next(
-                (k for k in range(i + 1, r) if try_invert(a[k][k]) is not None), None
-            )
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                mixed = False
-                for s in range(i, r):
-                    for t in range(i, r):
-                        if s == t:
-                            continue
-                        cand = a[s][s] + a[t][t] + a[s][t] + a[t][s]
-                        if try_invert(cand) is not None:
-                            for c in range(r):
-                                a[s][c] = a[s][c] + a[t][c]
-                            for rr in range(r):
-                                a[rr][s] = a[rr][s] + a[rr][t]
-                            if s != i:
-                                a[i], a[s] = a[s], a[i]
-                                for row in a:
-                                    row[i], row[s] = row[s], row[i]
-                            mixed = True
-                            break
-                    if mixed:
-                        break
-                if not mixed:
-                    if all(
-                        a[s][t].is_zero for s in range(i, r) for t in range(i, r)
-                    ):
-                        raise DegenerateTransfer(
-                            "the form is degenerate at some real embedding"
-                        )
-                    raise DegenerateTransfer(
-                        "could not find an invertible pivot while "
-                        "diagonalizing over the coefficient algebra"
-                    )
-            inv = field.invert(a[i][i])
-        piv = a[i][i]
-        for s in range(i + 1, r):
-            if a[s][i].is_zero:
-                continue
-            f = a[s][i] * inv
-            for c in range(r):
-                a[s][c] = a[s][c] - f * a[i][c]
-            for rr in range(r):
-                a[rr][s] = a[rr][s] - f * a[rr][i]
-        diag.append(piv)
-    return diag
-
-
 def signature_profile(m: NumberFieldLattice) -> SignatureProfile:
-    """Per-embedding signatures, embeddings in ascending root order.
+    """Per-embedding signatures (p_i, q_i), embeddings in ascending root
+    order, from d integer trace forms.
 
-    The Gram is diagonalized once symbolically over F; each diagonal
-    entry's sign under each embedding is then decided exactly by
-    TotallyRealField.sign_at.
+    For c in F nonzero at every embedding, tr_{F/Q}(c M) has signature
+    sum_i sign sigma_i(c) (p_i - q_i) (Scharlau, Quadratic and Hermitian
+    Forms, on transfers).  T_1 = tr(M) is degenerate exactly when M is at
+    some embedding.  For a rational r_k between roots k and k+1 (the
+    midpoint of the gap between their isolating intervals), theta - r_k is
+    positive at the embeddings above r_k and negative below, so
+    sum_(i>k) (p_i - q_i) = (sig T_1 + sig T_(theta-r_k)) / 2, and
+    p_i + q_i = rank.  Each signature is one linalg.inertia call, on
+    den(r_k) T_theta - num(r_k) T_1 for the twisted forms; the positive
+    common scale of the integer Grams leaves inertia unchanged.
     """
-    field = m.field
-    diag = _diagonalize_over_field(m)
-    out = []
-    for i in range(field.degree):
-        pos = neg = 0
-        for x in diag:
-            s = field.sign_at(i, x)
-            if s == 0:
-                raise DegenerateTransfer(
-                    "the form is degenerate at some real embedding"
-                )
-            if s > 0:
-                pos += 1
-            else:
-                neg += 1
-        out.append(Signature(pos, neg))
-    return tuple(out)
+    one, _scale = _trace_gram(m, 0)
+    pos, neg, zero = linalg.inertia(one)
+    if zero:
+        raise DegenerateTransfer("the form is degenerate at some real embedding")
+    theta, _scale = _trace_gram(m, 1)
+    roots = m.field.embeddings()
+    tails = [pos - neg]  # tails[k] = sum over embeddings i >= k of p_i - q_i
+    for (_lo, hi), (lo, _hi) in zip(roots, roots[1:]):
+        r = (hi + lo) / 2
+        twisted = [[r.denominator * x - r.numerator * y for x, y in zip(rt, r1)]
+                   for rt, r1 in zip(theta, one)]
+        p, q, _z = linalg.inertia(twisted)
+        tails.append((pos - neg + p - q) // 2)
+    tails.append(0)
+    return tuple(Signature((m.rank + a - b) // 2, (m.rank - a + b) // 2)
+                 for a, b in zip(tails, tails[1:]))
 
 
 def _has_ks_shape(profile: SignatureProfile) -> bool:

@@ -5,14 +5,16 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, the Schur pass of linalg's congruence
 diagonalization in Fraction, Smith invariant factors from determinantal
-divisors, Clifford words normalized by adjacent
-rewriting, the Gauss and Milgram sums term by term in floating point,
-the sign of a + b sqrt(n) in closed form, and the trace form over a
-number field entry by entry through companion-matrix traces.  Nothing
-imports from the enumeration, theta, linalg, clifford, gauss, numberfield
-or transfer modules, except the Kuga-Satake forms: ks_forms is the entry-by-entry product-and-trace
-loop, on clifford's products (checked against the rewriting oracle) with
-monomial traces summed word by word instead of in closed form.
+divisors, Clifford words normalized by adjacent rewriting, the Gauss and
+Milgram sums term by term in floating point, the sign of a + b sqrt(n)
+in closed form, the trace form over a number field entry by entry
+through companion-matrix traces, and per-embedding signatures of a Gram
+over a number field from its entries evaluated at sympy's rational root
+approximations.  Nothing imports from the enumeration, theta, linalg,
+clifford, gauss, numberfield or transfer modules, except the Kuga-Satake
+forms: ks_forms is the entry-by-entry product-and-trace loop, on
+clifford's products (checked against the rewriting oracle) with monomial
+traces summed word by word instead of in closed form.
 """
 
 from __future__ import annotations
@@ -183,16 +185,40 @@ def companion_trace(poly, x) -> Fraction:
 
 def trace_form(poly, basis, gram) -> list[list[int]]:
     """The Z-Gram tr(omega_k omega_l g_ij), lattice index outer and basis
-    index inner, one product and companion trace per entry; basis rows and
-    Gram entries are power coordinates.  ValueError on a non-integral
-    trace."""
+    index inner, one product per entry, traced by linearity from the
+    companion traces of the powers t^c; basis rows and Gram entries are
+    power coordinates.  ValueError on a non-integral trace."""
     d, r = len(poly) - 1, len(gram)
+    traces = [companion_trace(poly, [0] * c + [1]) for c in range(d)]
+    pairs = {(k, l): _mulmod(basis[k], basis[l], poly)
+             for k, l in itertools.product(range(d), repeat=2)}
     out = [[0] * (r * d) for _ in range(r * d)]
     for i, j, k, l in itertools.product(range(r), range(r), range(d), range(d)):
-        t = companion_trace(poly, _mulmod(_mulmod(basis[k], basis[l], poly), gram[i][j], poly))
+        t = sum(c * tc for c, tc in zip(_mulmod(pairs[k, l], gram[i][j], poly), traces))
         if t.denominator != 1:
             raise ValueError("trace form is not integral")
         out[i * d + k][j * d + l] = int(t)
+    return out
+
+
+def embedding_profile(poly, gram, bits: int) -> list[tuple[int, int]]:
+    """(p, q) at each real root of the monic poly, ascending, of the
+    symmetric matrix whose entries are power coordinates in the root:
+    every entry is evaluated at the midpoint of sympy's isolating interval
+    refined to width 2^-bits, and the Fraction matrix goes to inertia.
+    Rational roots come out exact; otherwise the answer is only as good as
+    the approximation, so callers compare two precisions."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    eps = sympy.Rational(1, 2**bits)
+    out = []
+    for a, b in sorted(sympy.Poly(list(reversed(poly)), x).intervals(eps=eps, sqf=True)):
+        t = (Fraction(int(a.p), int(a.q)) + Fraction(int(b.p), int(b.q))) / 2
+        values = [[sum(Fraction(c) * t**k for k, c in enumerate(e)) for e in row]
+                  for row in gram]
+        p, q, _z = inertia(values)
+        out.append((p, q))
     return out
 
 

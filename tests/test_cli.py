@@ -506,6 +506,18 @@ class TestTransfer:
         assert doc["profile"] == [[1, 0], [0, 1]]
         assert doc["signature"] == [1, 1]
 
+    def test_split_algebra_without_invertible_pivot(self, capsys, tmp_path):
+        # [[0, t], [t, 1 - t]] over (x - 1)(x + 1) is nondegenerate, (1, 1)
+        # at both roots, though neither diagonal entry is invertible
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({
+            "field": {"poly": [-1, 0, 1]},
+            "gram": [[[0, 0], [0, 1]], [[0, 1], [1, -1]]],
+        }))
+        doc = invoke_json(capsys, "transfer", "--input", str(path))
+        assert doc["profile"] == [[1, 1], [1, 1]]
+        assert doc["signature"] == [2, 2]
+
     # diag(theta, theta) over x^3 - 3x - 1 has the shape; diag(1, 1) over
     # Q(sqrt 2) has not
     @pytest.mark.parametrize("doc, admissible", [

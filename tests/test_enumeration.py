@@ -179,6 +179,18 @@ class TestTupleCount:
         with pytest.raises(EnumerationLimitExceeded):
             tuple_rep_count(e8_lattice(), ((2, 1), (1, 2)))
 
+    def test_rational_targets_are_exact(self):
+        half = Fraction(1, 2)
+        # the coset A1 + 1/2 has the two vectors +-1/2 of norm 1/2
+        assert rep_count(root_a1(), half, [half]) == 2
+        assert tuple_rep_count(root_a1(), [[half]], cosets=[[half]]) == 2
+        # no vector of A1 has norm 5/2; the count at norm 2 is not it
+        assert tuple_rep_count(root_a1(), [[Fraction(5, 2)]]) == 0
+        # A2: 6 roots, each at inner product 1 with two others
+        a2 = Lattice(((2, -1), (-1, 2)))
+        assert tuple_rep_count(a2, [[2, 1], [1, 2]]) == 12
+        assert tuple_rep_count(a2, [[2, half], [half, 2]]) == 0
+
     def test_fixed_cosets_match_box(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
         spinors = ((half, 1, half, 1), (half, 1, 1, half))

@@ -88,6 +88,10 @@ class TestLattice:
         with pytest.raises(ValueError):
             Lattice(((0, 1), (2, 0)))
 
+    def test_rejects_rational_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            Lattice(((Fraction(5, 2),),))
+
     def test_inner_and_norm(self):
         h = hyperbolic_plane()
         assert h.inner((1, 0), (0, 1)) == 1

@@ -84,23 +84,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             SQRT2.gen() * SQRT5.gen()
 
-    def test_invert(self):
-        x = SQRT2.one() + SQRT2.gen()  # 1 + sqrt(2)
-        inv = SQRT2.invert(x)
-        assert (x * inv).power == (Fraction(1), Fraction(0))
-        assert inv.power == (Fraction(-1), Fraction(1))
-
-    def test_invert_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            SQRT2.invert(SQRT2.zero())
-
-    def test_etale_zero_divisor(self):
-        etale = TotallyRealField(poly=(-1, 0, 1))
-        # x - 1 is a zero divisor in Q[x]/(x^2-1)
-        zd = etale.gen() - etale.one()
-        with pytest.raises(ZeroDivisionError):
-            etale.invert(zd)
-
 
 class TestTrace:
     def test_quadratic_traces(self):

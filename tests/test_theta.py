@@ -126,6 +126,9 @@ class TestSiegelTable:
         for lookup in (table.count, table.rank_of):
             with pytest.raises(KeyError, match="target outside the tabulated range"):
                 lookup(((6, 0), (0, 0)))
+            # a rational target is not the tabulated integer one below it
+            with pytest.raises(KeyError, match="target outside the tabulated range"):
+                lookup(((Fraction(1, 2), 0), (0, 0)))
 
 
 def d16_plus() -> Lattice:

@@ -97,6 +97,14 @@ class TestSignatureProfile:
         with pytest.raises(DegenerateTransfer):
             signature_profile(diagonal_lattice(SQRT2, [[0, 0]]))
 
+    def test_split_algebra_full_gram(self):
+        # over (x - 1)(x + 1), [[0, t], [t, 1 - t]] is [[0, 1], [1, 0]] at
+        # t = 1 and [[0, -1], [-1, 2]] at t = -1: (1, 1) at both, though no
+        # diagonal entry is invertible in the algebra
+        split = TotallyRealField(poly=(-1, 0, 1))
+        m = number_field_lattice(split, [[[0, 0], [0, 1]], [[0, 1], [1, -1]]])
+        assert signature_profile(m) == (Signature(1, 1), Signature(1, 1))
+
     def test_nondiagonal_gram(self):
         m = number_field_lattice(SQRT2, [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
         prof = signature_profile(m)
@@ -331,3 +339,32 @@ def test_trace_lattice_matches_oracle(case):
             trace_lattice(m)
     else:
         assert trace_lattice(m).gram == tuple(map(tuple, want))
+
+
+@st.composite
+def full_order_grams(draw):
+    field = ORACLE_BUILT[draw(st.sampled_from(sorted(ORACLE_BUILT)))]
+    d = field.degree
+    rank = draw(st.integers(1, 4))
+    upper = {
+        (i, j): field.element(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        for i in range(rank)
+        for j in range(i, rank)
+    }
+    return field, [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_order_grams())
+def test_profile_matches_embedding_oracle(case):
+    field, gram = case
+    m = number_field_lattice(field, gram)
+    powers = [[x.power for x in row] for row in gram]
+    if oracles.det(oracles.trace_form(field.poly, field.basis, powers)) == 0:
+        with pytest.raises(DegenerateTransfer):
+            signature_profile(m)
+        return
+    want = oracles.embedding_profile(field.poly, powers, 100)
+    # the oracle only approximates irrational roots: both precisions must agree
+    assert oracles.embedding_profile(field.poly, powers, 200) == want
+    assert [tuple(s) for s in signature_profile(m)] == want
