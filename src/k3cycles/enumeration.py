@@ -13,12 +13,17 @@ Every node visited spends one unit of the K3CYCLES_ENUM_LIMIT budget.
 Coset shifts are allowed, so norms and targets may be non-integral
 rationals; Fraction appears only when converting at the public edge.
 
-Counting paths exploit the x -> -x symmetry when the coset is trivial.
+On a trivial coset the recursion visits each +-pair once, with weight 2,
+and the zero vector once; it reads this off the coset itself, so callers
+that need both vectors expand the pair.
 
-Tuple counts (genus r) enumerate each slot's norm shell once, scale it to
-integer vectors X and precompute G X; a backtracking search then keeps a
-candidate for a later slot only if its integer dot product with every
-chosen G X matches the target, so no partial tuple needs linear algebra.
+Tuple counts (genus r) go through one routine for single targets and
+Siegel tables alike: each coset's slots get their norm shells from one
+sweep (exact for a single norm, otherwise a bound scan grouped by norm),
+scaled to integer vectors X with G X precomputed; a backtracking search
+then keeps a candidate for a later slot only if its integer dot product
+with every chosen G X matches the target, so no partial tuple needs
+linear algebra.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ def _sweep(
     shift: Sequence[Fraction],
     bound: Fraction,
     visit: Callable[[list[int], int, int], None],
-    symmetric: bool,
     budget: Optional[_Budget] = None,
     exact: bool = False,
 ) -> int:
@@ -106,11 +110,12 @@ def _sweep(
 
     Every window is an exact isqrt; in exact mode the last level solves
     W_0 y^2 = left instead of scanning.  Each node spends one unit of the
-    budget.  With symmetric=True (only valid for a trivial coset) each x is
-    visited once per +-pair with weight 2, and the zero vector with weight 1.
+    budget.  On the trivial coset each x is visited once per +-pair with
+    weight 2, and the zero vector with weight 1.
     """
     rows, weights, k = form
     n = len(weights)
+    symmetric = not any(shift)
     den = _denominator(shift)
     unit = k * den * den
     cap = bound * unit
@@ -160,13 +165,20 @@ def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
     return [x - x.__floor__() for x in hv]
 
 
+def _signed(xs: Sequence[int], w: int, scale: int = 1) -> list[list[int]]:
+    """scale * xs, with its negative when a symmetric sweep visited the
+    +-pair once (w == 2)."""
+    x = [v * scale for v in xs]
+    return [x, [-v for v in x]] if w == 2 else [x]
+
+
 def enumerate_vectors(lat: Lattice, t, h: Optional[Sequence] = None) -> list[Vector]:
     """All x in L + h with (x, x) = t, in lexicographic coordinate order."""
     t = Fraction(t)
     shift = _normalized_shift(lat, h)
     out: list[tuple[int, ...]] = []
     _sweep(_integer_form(lat.gram), shift, t,
-           lambda xs, _n, _w: out.append(tuple(xs)), False, exact=True)
+           lambda xs, _n, w: out.extend(map(tuple, _signed(xs, w))), exact=True)
     out.sort()
     den = _denominator(shift)
     return [tuple(Fraction(v, den) for v in xs) for xs in out]
@@ -182,7 +194,7 @@ def rep_count(lat: Lattice, t, h: Optional[Sequence] = None) -> int:
         nonlocal total
         total += w
 
-    _sweep(_integer_form(lat.gram), shift, t, visit, not any(shift), exact=True)
+    _sweep(_integer_form(lat.gram), shift, t, visit, exact=True)
     return total
 
 
@@ -195,39 +207,8 @@ def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction,
     def visit(_xs, norm, w):
         counts[norm] = counts.get(norm, 0) + w
 
-    unit = _sweep(_integer_form(lat.gram), shift, bound, visit, not any(shift))
+    unit = _sweep(_integer_form(lat.gram), shift, bound, visit)
     return {Fraction(norm, unit): c for norm, c in counts.items()}
-
-
-def _validate_target(target) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in target)
-    r = len(rows)
-    for row in rows:
-        if len(row) != r:
-            raise ValueError("Gram target must be square")
-    for i in range(r):
-        for j in range(r):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("Gram target must be symmetric")
-    for i in range(r):
-        if rows[i][i] < 0:
-            raise NegativeTarget("Gram target has a negative diagonal entry")
-    return rows
-
-
-def _tuple_cosets(lat: Lattice, r: int, cosets: Optional[Sequence]) -> list[list[Fraction]]:
-    if cosets is None:
-        return [[Fraction(0)] * lat.rank for _ in range(r)]
-    if len(cosets) != r:
-        raise ValueError("need one coset vector per tuple slot")
-    return [_normalized_shift(lat, h) for h in cosets]
-
-
-def _signed(xs: Sequence[int], w: int, scale: int = 1) -> list[list[int]]:
-    """scale * xs, with its negative when a symmetric sweep visited the
-    +-pair once (w == 2)."""
-    x = [v * scale for v in xs]
-    return [x, [-v for v in x]] if w == 2 else [x]
 
 
 def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:
@@ -235,22 +216,21 @@ def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     return [(x, [sum(map(mul, row, x)) for row in gram]) for x in vectors]
 
 
-def _tuple_search(rows, shells: Sequence[list], unit: int, budget: _Budget) -> int:
-    """Number of tuples (x_1..x_r), x_k from shells[k], with Gram matrix rows.
+def _tuple_search(rows, shells: Sequence[list], budget: _Budget) -> int:
+    """Number of tuples (x_1..x_r), x_k from shells[k], with Gram rows / s^2.
 
     Shell entries are (X, G X) with X = s*x integral for one common scale
-    s, and unit = s^2, so (x_i, x_k) = T_ik iff X_k . (G X_i) = T_ik * unit.
-    Each chosen vector filters the candidates of every later slot by that
-    integer dot product; the last slot is counted, not visited.  Every
-    candidate check spends one unit of the budget.
+    s, and rows = s^2 T is integral, so (x_i, x_k) = T_ik iff
+    X_k . (G X_i) = rows[i][k].  Each chosen vector filters the candidates
+    of every later slot by that integer dot product; the last slot is
+    counted, not visited.  Every candidate check spends one unit of the
+    budget.
     """
-    r = len(rows)
-
     def rec(k: int, cands: list[list]) -> int:
         if len(cands) <= 1:
             return len(cands[0]) if cands else 1
         rest = cands[1:]
-        wants = [rows[k][j] * unit for j in range(k + 1, r)]
+        wants = rows[k][k + 1:]
         total = 0
         for _x, gx in cands[0]:
             budget.spend(sum(map(len, rest)))
@@ -263,47 +243,62 @@ def _tuple_search(rows, shells: Sequence[list], unit: int, budget: _Budget) -> i
     return rec(0, list(shells))
 
 
+def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fraction]]) -> list[int]:
+    """Tuple counts in the slot cosets L + shifts[k] for integer targets
+    s^2 T, s the common denominator of the shifts.
+
+    Each distinct coset is swept once for the norms its slots need: an
+    exact sweep for a single norm, else one bound scan to the largest,
+    grouped by integer norm.  One budget covers the sweeps and searches.
+    """
+    form = _integer_form(lat.gram)
+    scale = math.lcm(1, *map(_denominator, shifts))
+    keys = [tuple(h) for h in shifts]
+    budget = _Budget(_enum_limit())
+    shells: dict[tuple, list] = {}
+    for h in dict.fromkeys(keys):
+        norms = {t[k][k] for t in targets for k, hk in enumerate(keys) if hk == h}
+        factor = scale // _denominator(h)
+        # slot norm t / s^2 is the sweep's integer norm K D^2 t / s^2
+        sq = factor * factor
+        wanted = {t * form[2] // sq: t for t in norms if t * form[2] % sq == 0}
+        found: dict[int, list[list[int]]] = {t: [] for t in norms}
+
+        def visit(xs, n, w):
+            if n in wanted:
+                found[wanted[n]].extend(_signed(xs, w, factor))
+
+        _sweep(form, h, Fraction(max(norms), scale * scale), visit, budget,
+               exact=len(norms) == 1)
+        for t, vs in found.items():
+            shells[h, t] = _shell(lat.gram, vs)
+    return [_tuple_search(t, [shells[h, t[k][k]] for k, h in enumerate(keys)], budget)
+            for t in targets]
+
+
 def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> int:
     """Number of r-tuples in the prescribed cosets with Gram matrix = target.
 
-    Each slot's shell {x in L + h_k : Q(x) = T_kk} is enumerated once
-    (slots with the same norm and coset share it) and filtered by
-    _tuple_search.  With s the common denominator of the cosets, the
-    count is 0 unless every s^2 T_ik is an integer.
+    With s the common denominator of the cosets, the count is 0 unless
+    every s^2 T_ik is an integer; otherwise it comes from _tuple_counts.
     """
-    rows = _validate_target(target)
+    rows = [[Fraction(x) for x in row] for row in target]
+    r = len(rows)
+    if not linalg.is_symmetric(rows):
+        raise ValueError("Gram target must be square" if any(len(row) != r for row in rows)
+                         else "Gram target must be symmetric")
+    if any(rows[i][i] < 0 for i in range(r)):
+        raise NegativeTarget("Gram target has a negative diagonal entry")
     if linalg.inertia(rows)[1]:
         return 0
-    form = _integer_form(lat.gram)
-    shifts = _tuple_cosets(lat, len(rows), cosets)
+    if cosets is None:
+        shifts = [[Fraction(0)] * lat.rank for _ in range(r)]
+    elif len(cosets) != r:
+        raise ValueError("need one coset vector per tuple slot")
+    else:
+        shifts = [_normalized_shift(lat, h) for h in cosets]
     scale = math.lcm(1, *map(_denominator, shifts))
     scaled = [[x * scale * scale for x in row] for row in rows]
     if any(x.denominator != 1 for row in scaled for x in row):
         return 0
-    budget = _Budget(_enum_limit())
-    shells: dict[tuple, list] = {}
-    keys = [(rows[k][k], tuple(h)) for k, h in enumerate(shifts)]
-    for t, h in keys:
-        if (t, h) not in shells:
-            found: list[list[int]] = []
-            factor = scale // _denominator(h)
-            _sweep(form, h, t,
-                   lambda xs, _n, w: found.extend(_signed(xs, w, factor)),
-                   not any(h), budget, exact=True)
-            shells[t, h] = _shell(lat.gram, found)
-    return _tuple_search([[x.numerator for x in row] for row in scaled],
-                         [shells[key] for key in keys], 1, budget)
-
-
-def _zero_coset_tuple_counts(lat: Lattice, targets: Sequence, bound: int) -> list[int]:
-    """tuple_rep_count(lat, T) for validated targets T with diagonal <= bound,
-    from one bound scan whose vectors are grouped into shells by norm."""
-    budget = _Budget(_enum_limit())
-    by_norm: dict[int, list[list[int]]] = {}
-    norm_unit = _sweep(_integer_form(lat.gram), [Fraction(0)] * lat.rank, Fraction(bound),
-                       lambda xs, norm, w: by_norm.setdefault(norm, []).extend(_signed(xs, w)),
-                       True, budget)
-    shells = {norm: _shell(lat.gram, vs) for norm, vs in by_norm.items()}
-    return [_tuple_search(t, [shells.get(t[k][k] * norm_unit, []) for k in range(len(t))], 1,
-                          budget)
-            for t in targets]
+    return _tuple_counts(lat, [[[x.numerator for x in row] for row in scaled]], shifts)[0]

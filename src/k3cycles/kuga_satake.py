@@ -158,15 +158,15 @@ def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
     full = [list(v) for v in plus] + [list(a1), list(a2)]
     if linalg.rank(full) != lat.rank:
         raise BadSplitting("splitting vectors do not span L (x) Q")
-    a = clifford.multiply(
-        clifford.vector_element(lat, a1), clifford.vector_element(lat, a2)
-    )
-    if clifford.main_involution(a) != -a:
+    # rev(a1 a2) = a2 a1 = 2 (a1, a2) - a1 a2, so a^iota = -a iff g12 = 0
+    if g12:
         raise BadPolarizer(
             "a1 a2 is not involution-antisymmetric; use an orthogonal basis "
             "of the negative part"
         )
-    return a
+    return clifford.multiply(
+        clifford.vector_element(lat, a1), clifford.vector_element(lat, a2)
+    )
 
 
 def _form(a: CliffordElement, x: CliffordElement, y: CliffordElement) -> Fraction:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -81,11 +82,9 @@ class Lattice:
         xv, yv = as_vector(x), as_vector(y)
         if len(xv) != self.rank or len(yv) != self.rank:
             raise ValueError("vector length does not match lattice rank")
-        return sum(
-            (xv[i] * self.gram[i][j] * yv[j]
-             for i in range(self.rank) for j in range(self.rank)),
-            Fraction(0),
-        )
+        (xi, yi), (dx, dy) = linalg._integer_rows([xv, yv])
+        return Fraction(sum(a * sum(map(mul, row, yi)) for a, row in zip(xi, self.gram)),
+                        dx * dy)
 
     def norm(self, x: Sequence) -> Fraction:
         return self.inner(x, x)

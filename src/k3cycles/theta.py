@@ -17,9 +17,9 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .enumeration import _zero_coset_tuple_counts, norm_histogram
+from .enumeration import _tuple_counts, norm_histogram
 from .errors import InvalidTau, UnsupportedWeight
-from .lattice import Lattice, Vector, discriminant_group
+from .lattice import Lattice, discriminant_group
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,6 @@ class FourierTable:
     genus: int
     bound: int
     entries: tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]
-    coset: tuple[Vector, ...]
 
     @cached_property
     def _index(self) -> dict:
@@ -228,7 +227,6 @@ def siegel_theta_table(lat: Lattice, r: int, bound: int) -> FourierTable:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     targets = list(_psd_targets(r, int(bound)))
-    counts = _zero_coset_tuple_counts(lat, [t for t, _rk in targets], int(bound))
+    counts = _tuple_counts(lat, [t for t, _rk in targets], [[Fraction(0)] * lat.rank] * r)
     entries = [(t, rk, c) for (t, rk), c in zip(targets, counts)]
-    zero = tuple(tuple(Fraction(0) for _ in range(lat.rank)) for _ in range(r))
-    return FourierTable(genus=r, bound=int(bound), entries=tuple(entries), coset=zero)
+    return FourierTable(genus=r, bound=int(bound), entries=tuple(entries))

@@ -233,21 +233,28 @@ def _box_radii(lat: Lattice, bound: Fraction) -> list[int]:
 
 
 def box_histogram(lat: Lattice, bound, h=None) -> dict[Fraction, int]:
-    """Counts of (x+h, x+h) <= bound over integer x, by raw box sweep."""
+    """Counts of (x+h, x+h) <= bound over integer x, by raw box sweep.
+
+    The sweep runs over the integer coordinates X = q(x + h), q the common
+    denominator of h, so every norm N = X'GX is an integer compared with
+    q^2 * bound; N / q^2 becomes the key only at the end."""
     bound = Fraction(bound)
     shift = tuple(Fraction(v) for v in (h or [0] * lat.rank))
+    q = math.lcm(1, *(s.denominator for s in shift))
+    cap = bound * q * q
     radii = _box_radii(lat, bound + Fraction(1))
-    hist: dict[Fraction, int] = {}
+    counts: dict[int, int] = {}
     ranges = []
     for r, s in zip(radii, shift):
         pad = int(math.ceil(abs(s))) + 2
-        ranges.append(range(-r - pad, r + pad + 1))
-    for x in itertools.product(*ranges):
-        v = tuple(a + s for a, s in zip(x, shift))
-        norm = lat.norm(v)
-        if norm <= bound:
-            hist[norm] = hist.get(norm, 0) + 1
-    return hist
+        lift = int(q * s)
+        ranges.append(range(q * (-r - pad) + lift, q * (r + pad) + lift + 1, q))
+    n = lat.rank
+    for v in itertools.product(*ranges):
+        norm = sum(v[i] * lat.gram[i][j] * v[j] for i in range(n) for j in range(n))
+        if norm <= cap:
+            counts[norm] = counts.get(norm, 0) + 1
+    return {Fraction(norm, q * q): c for norm, c in counts.items()}
 
 
 def box_count(lat: Lattice, t, h=None) -> int:

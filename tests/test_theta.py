@@ -130,6 +130,28 @@ class TestSiegelTable:
             with pytest.raises(KeyError, match="target outside the tabulated range"):
                 lookup(((Fraction(1, 2), 0), (0, 0)))
 
+    def test_entries_match_box_oracle(self):
+        # small positive definite Grams (odd ones included), so many
+        # targets up to trace 4 have tuples
+        rng = random.Random(1312)
+        cases = full_rank_hits = 0
+        while cases < 20:
+            n = rng.randint(2, 3)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                gram[i][i] = rng.randint(1, 3)
+                for j in range(i):
+                    gram[i][j] = gram[j][i] = rng.randint(-1, 1)
+            if linalg.inertia(gram)[0] < n:
+                continue
+            lat = Lattice(tuple(map(tuple, gram)))
+            table = siegel_theta_table(lat, 1 + cases % 2, 4)
+            cases += 1
+            for target, rank, count in table.entries:
+                assert count == oracles.box_tuple_count(lat, target), (gram, target)
+                full_rank_hits += rank == 2 and count > 0
+        assert full_rank_hits >= 20
+
 
 def d16_plus() -> Lattice:
     """D16+ = D16 + Z g, g = (1/2, ..., 1/2), from the D16 simple roots
