@@ -7,7 +7,8 @@ v.v = (v,v), reduced to normal form one generator at a time.  An integral
 Gram matrix gives integer structure constants, so the reduction table and
 the monomial traces are plain ints, memoized per Gram matrix; Fraction
 appears only in element coefficients, traces of elements and the solve
-inside invert.  Everything is exact: no floating point enters this module.
+inside invert (one 2^(rank-1) parity block for an even or odd element).
+Everything is exact: no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from . import linalg
 from .errors import AmbientMismatch, NotInvertible, RankLimitExceeded
 from .lattice import Lattice
 
-# invert solves a dense 2^rank system.  On A_r on a 2-core x86 VM, a dense
-# element (all 2^r coefficients in [-9, 9]) takes 2.1 s at rank 7 and 41 s
-# at rank 8; a scalar plus a vector takes 1.5 s at rank 8 and 16.5 s at 9.
+# invert solves a dense 2^rank system, one 2^(rank-1) block for an even or odd
+# element.  On A_r on a 2-core x86 VM, a dense element (all 2^r coefficients
+# in [-9, 9]) takes 2.1 s at rank 7 and 41 s at rank 8, a dense even one
+# 2.3-2.5 s at rank 8; a scalar plus a vector takes 1.5 s at 8 and 16.5 s at 9.
 INVERSION_RANK_CAP = 8
 
 
@@ -51,6 +53,32 @@ class CliffordElement:
     @cached_property
     def _map(self) -> dict[int, Fraction]:
         return dict(self.coeffs)
+
+    @cached_property
+    def _inverse(self) -> CliffordElement:
+        """Solve x y = 1 by left multiplication.  x of parity p maps parity q to
+        q + p, so an even or odd x solves only columns of parity p against the
+        even rows: a solution is a right, hence two-sided, inverse."""
+        rank = self.ambient.rank
+        if rank > INVERSION_RANK_CAP:
+            raise RankLimitExceeded(f"inversion solves a dense 2^{rank} system; rank "
+                                    f"is capped at {INVERSION_RANK_CAP}")
+        c = as_scalar(self)
+        if c is not None:
+            if c == 0:
+                raise NotInvertible("the zero element has no inverse")
+            return scalar_element(self.ambient, 1 / c)
+        rows = cols = range(1 << rank)
+        if (p := parity(self)) is not GradedParity.MIXED:
+            rows, cols = ([t for t in rows if bin(t).count("1") & 1 == q]
+                          for q in (0, p is GradedParity.ODD))
+        table = _table(self.ambient.gram)
+        images = [_combine((c, table.word(m, _bits(t))) for m, c in self.coeffs) for t in cols]
+        sol = linalg.solve([[img.get(s, 0) for img in images] for s in rows],
+                           [int(s == 0) for s in rows])
+        if sol is None:
+            raise NotInvertible("left multiplication by this element is singular")
+        return element(self.ambient, dict(zip(cols, sol)))
 
     def coefficient(self, mask: int) -> Fraction:
         return self._map.get(mask, Fraction(0))
@@ -271,26 +299,8 @@ def trace(x: CliffordElement) -> Fraction:
 
 
 def invert(x: CliffordElement) -> CliffordElement:
-    """Two-sided inverse, by solving the 2^rank left-multiplication system."""
-    rank = x.ambient.rank
-    if rank > INVERSION_RANK_CAP:
-        raise RankLimitExceeded(
-            f"inversion solves a dense 2^{rank} system; rank is capped at "
-            f"{INVERSION_RANK_CAP}"
-        )
-    c = as_scalar(x)
-    if c is not None:
-        if c == 0:
-            raise NotInvertible("the zero element has no inverse")
-        return scalar_element(x.ambient, 1 / c)
-    n = 1 << rank
-    table = _table(x.ambient.gram)
-    cols = [_combine((c, table.word(m, _bits(t))) for m, c in x.coeffs) for t in range(n)]
-    mat = [[col.get(s, 0) for col in cols] for s in range(n)]
-    sol = linalg.solve(mat, [int(s == 0) for s in range(n)])
-    if sol is None:
-        raise NotInvertible("left multiplication by this element is singular")
-    return element(x.ambient, {m: c for m, c in enumerate(sol)})
+    """Two-sided inverse, solved once per element and memoized on it."""
+    return x._inverse
 
 
 def spinor_norm(g: CliffordElement) -> CliffordElement:

@@ -36,6 +36,8 @@ ADJOINT_SAMPLES = 8
 # On a 2-core x86 VM ks_report takes 1.0-1.6 s at rank 9; at rank 10 it
 # takes 4.2 s (diagonal), 6.6 s (A8 + two <-2>), 22 s (sheared), ~100 MB.
 KS_RANK_CAP = 10
+# commutation_profile on <2>^(r-2) + <-2>^2, x = e1: 0.06, 0.22, 0.86, 3.6 s at r = 4-7.
+COMMUTATION_RANK_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -308,6 +310,8 @@ def commutation_profile(lat: Lattice, x: Sequence) -> CommutationProfile:
     adjointness trace(a (y x) w^iota) = trace(a y (w x)^iota) on seeded
     random pairs.
     """
+    if lat.rank > COMMUTATION_RANK_CAP:
+        raise RankLimitExceeded(f"commutation profiles are capped at rank {COMMUTATION_RANK_CAP}")
     d = clifford.delta(lat)
     xe = clifford.vector_element(lat, x)
     xd = clifford.multiply(xe, d)

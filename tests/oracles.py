@@ -5,16 +5,18 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, the Schur pass of linalg's congruence
 diagonalization in Fraction, Smith invariant factors from determinantal
-divisors, Clifford words normalized by adjacent rewriting, the Gauss and
-Milgram sums term by term in floating point, the sign of a + b sqrt(n)
-in closed form, the trace form over a number field entry by entry
-through companion-matrix traces, and per-embedding signatures of a Gram
-over a number field from its entries evaluated at sympy's rational root
-approximations.  Nothing imports from the enumeration, theta, linalg,
-clifford, gauss, numberfield or transfer modules, except the Kuga-Satake
-forms: ks_forms is the entry-by-entry product-and-trace loop, on
-clifford's products (checked against the rewriting oracle) with monomial
-traces summed word by word instead of in closed form.
+divisors, Clifford words normalized by adjacent rewriting, Clifford
+inverses from one solve of the full left-multiplication system on those
+words, the Gauss and Milgram sums term by term in floating point, the
+sign of a + b sqrt(n) in closed form, the trace form over a number
+field entry by entry through companion-matrix traces, and per-embedding
+signatures of a Gram over a number field from its entries evaluated at
+sympy's rational root approximations.  Nothing imports from the
+enumeration, theta, linalg, clifford, gauss, numberfield or transfer
+modules, except the Kuga-Satake forms: ks_forms is the entry-by-entry
+product-and-trace loop, on clifford's products (checked against the
+rewriting oracle) with monomial traces summed word by word instead of in
+closed form.
 """
 
 from __future__ import annotations
@@ -352,6 +354,16 @@ def clifford_trace(gram, x) -> Fraction:
     """Trace of the 2^rank x 2^rank matrix of left multiplication by x."""
     return sum((clifford_product(gram, x, {t: 1}).get(t, Fraction(0))
                 for t in range(1 << len(gram))), Fraction(0))
+
+
+def clifford_inverse(gram, x):
+    """The y with x y = 1 (mask -> coefficient), or None: one solve of the
+    full 2^rank system whose column t is x e_t."""
+    n = 1 << len(gram)
+    cols = [clifford_product(gram, x, {t: 1}) for t in range(n)]
+    y = solve([[col.get(s, 0) for col in cols] for s in range(n)],
+              [int(s == 0) for s in range(n)])
+    return None if y is None else {m: c for m, c in enumerate(y) if c}
 
 
 def summed_tau(table, mask: int) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3cycles import clifford, transfer
+from k3cycles import clifford, linalg, transfer
 from k3cycles.cli import EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 
@@ -313,6 +313,29 @@ class TestClifford:
             "--invert",
         )
         assert doc["inverse"] == "1/2*e{1}"
+
+    def test_invert_and_gspin_solve_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, solve=linalg.solve):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(linalg, "solve", counted)
+        doc = invoke_json(
+            capsys,
+            "clifford",
+            "--lattice",
+            "H",
+            "--element",
+            "2*e{} + e{1,2}",
+            "--invert",
+            "--gspin",
+        )
+        assert len(calls) == 1
+        assert len(calls[0][1]) == 2  # the even block of the 4 x 4 system
+        assert doc["parity"] == "even"
+        assert doc["inverse"] == "1/2*e{} - 1/8*e{1,2}"
 
     def test_zero_not_invertible(self, capsys):
         err = error_json(

@@ -342,3 +342,44 @@ def test_closed_form_tau_matches_summed_words(rank, count):
         table = clifford._GenTable(tuple(map(tuple, gram)))
         for mask in range(1 << rank):
             assert table.tau(mask) == oracles.summed_tau(table, mask), (gram, mask)
+
+
+A4 = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(4))
+           for i in range(4))
+# <2>^3 (+) <-2>^2 under six row-and-column shears
+SHEARED5 = ((4, -2, -4, -2, 4), (-2, 0, 2, 0, 0), (-4, 2, 4, 4, -4),
+            (-2, 0, 4, -2, 0), (4, 0, -4, 0, 2))
+HOMOGENEOUS_GRAMS = (A2.gram, MIXED.gram, direct_sum(hyperbolic_plane(), root_a1()).gram,
+                     A4, SHEARED5)
+
+
+def homogeneous_draws(gram, rng, count=4):
+    """Sparse (one to three terms) and dense even and odd coefficient maps."""
+    size = 1 << len(gram)
+    for odd in (0, 1):
+        masks = [m for m in range(size) if bin(m).count("1") & 1 == odd]
+        for _ in range(count):
+            sparse = rng.sample(masks, min(len(masks), rng.randint(1, 3)))
+            yield {m: rng.randint(-3, 3) for m in sparse}
+            yield {m: rng.randint(-3, 3) for m in masks}
+
+
+def test_homogeneous_inverses_match_full_system_oracle():
+    # the block solve of an even or odd element against one solve of the
+    # whole 2^rank system; H contributes the singular e{1,2} and e{1}
+    rng = random.Random(43)
+    h = hyperbolic_plane()
+    cases = [(gram, cx) for gram in HOMOGENEOUS_GRAMS for cx in homogeneous_draws(gram, rng)]
+    iso = multiply(vector_element(h, (1, 0)), vector_element(h, (0, 1)))
+    cases += [(h.gram, iso._map), (h.gram, vector_element(h, (1, 0))._map)]
+    seen = {True: set(), False: set()}
+    for gram, cx in cases:
+        x = element(Lattice(gram), cx)
+        want = oracles.clifford_inverse(gram, x._map)
+        try:
+            got = dict(invert(x).coeffs)
+        except NotInvertible:
+            got = None
+        assert got == want, (gram, cx)
+        seen[want is not None].add(parity(x))
+    assert seen[True] == seen[False] == {GradedParity.EVEN, GradedParity.ODD}
