@@ -9,9 +9,10 @@ _symmetric_pass, the Schur pass behind inertia, congruence_diagonalize
 and the enumeration LDL, keeps each row over its own denominator in
 lowest terms instead of a common Bareiss scale, so a step touches only
 the rows with a nonzero multiplier, which keeps the nearly diagonal
-Clifford forms cheap.  One Smith loop on ints serves discriminant groups
-and integer kernels; on square nonsingular input it works modulo |det|
-(Domich-Kannan-Trotter), so its entries stay below |det|.
+Clifford forms cheap.  The Smith loop behind discriminant groups takes
+square nonsingular input only and works modulo |det|
+(Domich-Kannan-Trotter), so its entries stay below |det|.  Integer
+kernels need only its column half: a unimodular column reduction.
 """
 
 from __future__ import annotations
@@ -92,8 +93,14 @@ def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
     return pivots, p, sign
 
 
+def _require_square(a, what: str) -> None:
+    if any(len(row) != len(a) for row in a):
+        raise ValueError(f"{what} requires a square matrix")
+
+
 def det(a) -> Fraction:
     """Exact determinant of a square int/Fraction matrix."""
+    _require_square(a, "det")
     m, scales = _integer_rows(a)
     pivots, p, sign = _gauss_jordan(m)
     return Fraction(sign * p, math.prod(scales)) if len(pivots) == len(m) else Fraction(0)
@@ -120,6 +127,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:
+    _require_square(a, "inverse")
     n = len(a)
     m, _ = _integer_rows([list(a[i]) + [int(i == j) for j in range(n)]
                           for i in range(n)])
@@ -222,26 +230,26 @@ def congruence_diagonalize(a) -> tuple[Matrix, list[Fraction]]:
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Return (d, v): d diagonal (rectangular allowed) with nonnegative
-    entries d1 | d2 | ..., and v a right transform with a * v_j divisible
-    by d_j for every column v_j.
+    """Return (d, v) for a square nonsingular integer matrix a: d diagonal
+    with positive entries d1 | d2 | ... and prod d_j = M = |det a|, and v a
+    right transform with a * v_j divisible by d_j for every column v_j and
+    det v = +-1 mod M.
 
-    Square nonsingular a is reduced modulo M = |det a|: entries of d and v
-    with |x| >= M are replaced by their symmetric residues (adding rows
-    M*e_j, which lie in the row lattice of a), and at the end
-    d_j = gcd(d_j, M), so prod d_j = M and det v = +-1 mod M.  Otherwise
-    M = 0, nothing is reduced and v is unimodular.
+    The loop works modulo M: entries of d and v with |x| >= M are replaced
+    by their symmetric residues (adding rows M*e_j, which lie in the row
+    lattice of a), so a zero entry stands for M, and at the end
+    d_j = gcd(d_j, M).  Singular or rectangular a raises ValueError.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = abs(int(det(a))) if rows == cols else 0
-    half = m // 2
+    m = abs(int(det(a)))
+    if not m:
+        raise ValueError("smith_normal_form requires a nonsingular matrix")
+    n, half = len(a), m // 2
 
     def red(x):
-        return (x + half) % m - half if m and abs(x) >= m else x
+        return (x + half) % m - half if abs(x) >= m else x
 
     d = [[red(int(x)) for x in row] for row in a]
-    v = int_identity(cols)
+    v = int_identity(n)
 
     def row_op(i, j, f):  # row_i -= f * row_j
         d[i] = [red(x - f * y) for x, y in zip(d[i], d[j])]
@@ -257,26 +265,22 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 row[i], row[j] = row[j], row[i]
 
     t = 0
-    while t < min(rows, cols):
-        # locate a nonzero entry of smallest magnitude in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        d[t], d[best[0]] = d[best[0]], d[t]
-        swap_cols(t, best[1])
+    while t < n:
+        # the first entry of least magnitude in the trailing block; every
+        # |x| < M, so a zero is picked only when the whole block is zero
+        bi, bj = min(((i, j) for i in range(t, n) for j in range(t, n)),
+                     key=lambda ij: abs(d[ij[0]][ij[1]]) or m)
+        d[t], d[bi] = d[bi], d[t]
+        swap_cols(t, bj)
         while True:
             dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, n):
                 if d[i][t] != 0:
                     row_op(i, t, d[i][t] // d[t][t])
                     if d[i][t] != 0:
                         d[t], d[i] = d[i], d[t]
                     dirty = True
-            for j in range(t + 1, cols):
+            for j in range(t + 1, n):
                 if d[t][j] != 0:
                     col_op(j, t, d[t][j] // d[t][t])
                     if d[t][j] != 0:
@@ -285,24 +289,42 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if not dirty:
                 break
         # enforce divisibility of the rest of the block by the pivot
-        offender = next((i for i in range(t + 1, rows)
-                         if any(x % d[t][t] for x in d[i][t + 1:])), None)
+        offender = next((i for i in range(t + 1, n)
+                         if any(x % (d[t][t] or m) for x in d[i][t + 1:])), None)
         if offender is not None:
             row_op(t, offender, -1)  # add offending row, then reduce again
             continue
         t += 1
-    for i in range(min(rows, cols)):
-        d[i][i] = math.gcd(d[i][i], m)  # |d_i| when m = 0
+    for i in range(n):
+        d[i][i] = math.gcd(d[i][i], m)
     return d, v
 
 
 def integer_kernel(a: IntMatrix, cols: Optional[int] = None) -> list[list[int]]:
-    """Saturated basis of {x in Z^cols : a*x = 0} (list of int vectors)."""
+    """Saturated basis of {x in Z^cols : a*x = 0} (list of int vectors).
+
+    Column reduction (Cohen, GTM 138, 2.4): each column is kept as its image
+    under a followed by its coordinate vector.  Row by row, the first
+    unfinished column with the least nonzero |entry| in that row becomes
+    the pivot, and floor multiples of it are subtracted from the later
+    columns, until only the pivot is left nonzero in the row.  The
+    transform is unimodular, so the coordinate parts of the columns past
+    the last pivot are a saturated basis.
+    """
     rows = len(a)
-    if rows == 0:
-        n = cols if cols is not None else 0
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    n = len(a[0])
-    d, v = smith_normal_form(a)
-    return [[v[r][j] for r in range(n)] for j in range(n)
-            if j >= min(rows, n) or d[j][j] == 0]
+    n = len(a[0]) if rows else cols or 0
+    c = [[row[j] for row in a] + [int(k == j) for k in range(n)] for j in range(n)]
+    t = 0
+    for i in range(rows):
+        while live := [j for j in range(t, n) if c[j][i]]:
+            p = min(live, key=lambda j: abs(c[j][i]))
+            c[t], c[p] = c[p], c[t]
+            if len(live) == 1:
+                t += 1
+                break
+            top = c[t]
+            for j in range(t + 1, n):
+                f = c[j][i] // top[i]
+                if f:
+                    c[j] = [x - f * y for x, y in zip(c[j], top)]
+    return [col[rows:] for col in c[t:]]

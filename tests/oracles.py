@@ -5,18 +5,18 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, the Schur pass of linalg's congruence
 diagonalization in Fraction, Smith invariant factors from determinantal
-divisors, Clifford words normalized by adjacent rewriting, Clifford
-inverses from one solve of the full left-multiplication system on those
-words, the Gauss and Milgram sums term by term in floating point, the
-sign of a + b sqrt(n) in closed form, the trace form over a number
-field entry by entry through companion-matrix traces, and per-embedding
-signatures of a Gram over a number field from its entries evaluated at
-sympy's rational root approximations.  Nothing imports from the
-enumeration, theta, linalg, clifford, gauss, numberfield or transfer
-modules, except the Kuga-Satake forms: ks_forms is the entry-by-entry
-product-and-trace loop, on clifford's products (checked against the
-rewriting oracle) with monomial traces summed word by word instead of in
-closed form.
+divisors, kernel saturation from the gcd of maximal minors, Clifford
+words normalized by adjacent rewriting, Clifford inverses from one solve
+of the full left-multiplication system on those words, the Gauss and
+Milgram sums term by term in floating point, the sign of a + b sqrt(n)
+in closed form, the trace form over a number field entry by entry
+through companion-matrix traces, and per-embedding signatures of a Gram
+over a number field from its entries evaluated at sympy's rational root
+approximations.  Nothing imports from the enumeration, theta, linalg,
+clifford, gauss, numberfield or transfer modules, except the Kuga-Satake
+forms: ks_forms is the entry-by-entry product-and-trace loop, on
+clifford's products (checked against the rewriting oracle) with monomial
+traces summed word by word instead of in closed form.
 """
 
 from __future__ import annotations
@@ -151,6 +151,18 @@ def invariant_factors(a) -> list[int]:
         factors.append(g // prev if prev else 0)
         prev = g
     return factors
+
+
+def maximal_minor_gcd(rows) -> int:
+    """gcd of the k x k minors of a k x n integer matrix, stopped once it
+    reaches 1.  Independent rows span a saturated sublattice of Z^n (one
+    equal to its rational span intersected with Z^n) exactly when it is 1."""
+    g = 0
+    for cs in itertools.combinations(range(len(rows[0]) if rows else 0), len(rows)):
+        g = math.gcd(g, int(det([[row[c] for c in cs] for row in rows])))
+        if g == 1:
+            break
+    return g
 
 
 def quadratic_sign(a, b, n: int) -> int:

@@ -306,6 +306,22 @@ FIXED_GRAMS = (
 )
 
 
+def test_right_vector_multiplication_is_self_adjoint():
+    # (w x)^iota = x w^iota for a vector x, so every form trace(a y w^iota)
+    # has trace(a (y x) w^iota) = trace(a y (w x)^iota); commutation_profile
+    # relies on this instead of checking it
+    rng = random.Random(31)
+    for gram in FIXED_GRAMS:
+        lat = Lattice(gram)
+        for _ in range(5):
+            a, y, w = (random_element(lat, rng) for _ in range(3))
+            x = vector_element(lat, [rng.randint(-3, 3) for _ in range(lat.rank)])
+            wx = multiply(w, x)
+            assert main_involution(wx) == multiply(x, main_involution(w))
+            assert trace(multiply(multiply(a, multiply(y, x)), main_involution(w))) == trace(
+                multiply(multiply(a, y), main_involution(wx)))
+
+
 def check_against_oracle(gram, cx, cy):
     lat = Lattice(gram)
     x, y = element(lat, cx), element(lat, cy)

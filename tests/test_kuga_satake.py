@@ -314,17 +314,3 @@ class TestCommutation:
         prof = commutation_profile(TWO_TWO, (1, 0, 0, 0))
         assert not prof.delta_commutes
         assert not prof.parity_rule_ok
-
-    def test_rank_cap(self, monkeypatch):
-        n = kuga_satake.COMMUTATION_RANK_CAP + 1
-        lat = Lattice(tuple(
-            tuple((2 if i < n - 2 else -2) if i == j else 0 for j in range(n))
-            for i in range(n)
-        ))
-
-        def no_table(*_args):
-            raise AssertionError("multiplication table built above the cap")
-
-        monkeypatch.setattr(clifford, "_table", no_table)
-        with pytest.raises(RankLimitExceeded):
-            commutation_profile(lat, (1,) + (0,) * (n - 1))

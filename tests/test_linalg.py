@@ -50,6 +50,16 @@ class TestDetRankSolve:
         assert linalg.solve(a, [Fraction(0), Fraction(1)]) is None
         assert linalg.inverse(a) is None
 
+    def test_det_rejects_non_square(self):
+        for a in ([[1, 2, 3]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError):
+                linalg.det(a)
+
+    def test_inverse_rejects_non_square(self):
+        for a in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError):
+                linalg.inverse(a)
+
 
 @settings(max_examples=50, deadline=None)
 @given(int_matrices(3))
@@ -95,46 +105,70 @@ def test_congruence_diagonalize(a):
 
 
 def _check_smith(a) -> list[int]:
-    """The smith_normal_form contract on a; returns the diagonal of d.
+    """The smith_normal_form contract on a nonsingular square a; returns the
+    diagonal of d.
 
-    d is diagonal with d1 | d2 | ..., d_j divides column j of a*v, and v
-    is unimodular (singular or rectangular a) or has det v = +-1 mod |det a|
-    with prod d_j = |det a| (nonsingular square a).
+    d is diagonal with d1 | d2 | ... and prod d_j = |det a|, d_j divides
+    column j of a*v, and det v = +-1 mod |det a|.
     """
-    rows, cols = len(a), len(a[0])
+    n = len(a)
     d, v = linalg.smith_normal_form(a)
-    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-    divs = [d[i][i] for i in range(min(rows, cols))]
-    assert all(x >= 0 for x in divs)
-    for x, y in zip(divs, divs[1:]):
-        assert y % x == 0 if x else y == 0
+    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    divs = [d[i][i] for i in range(n)]
+    assert all(x > 0 for x in divs)
+    assert all(y % x == 0 for x, y in zip(divs, divs[1:]))
     av = linalg.mat_mul(a, v)
-    for j in range(cols):
-        dj = divs[j] if j < len(divs) else 0
-        assert all((row[j] % dj if dj else row[j]) == 0 for row in av)
-    m = abs(linalg.det(a)) if rows == cols else 0
+    assert all(row[j] % divs[j] == 0 for row in av for j in range(n))
+    m = abs(linalg.det(a))
+    assert math.prod(divs) == m
     dv = linalg.det(v)
-    if m:
-        assert math.prod(divs) == m
-        assert (dv - 1) % m == 0 or (dv + 1) % m == 0
-    else:
-        assert abs(dv) == 1
+    assert (dv - 1) % m == 0 or (dv + 1) % m == 0
     return divs
 
 
 @settings(max_examples=50, deadline=None)
 @given(int_matrices(3))
 def test_smith_normal_form(a):
+    assume(oracles.det(a) != 0)
     assert _check_smith(a) == oracles.invariant_factors(a)
 
 
-@settings(max_examples=50, deadline=None)
-@given(int_matrices(3, -4, 4))
-def test_integer_kernel_annihilates(a):
-    kernel = linalg.integer_kernel(a)
-    assert len(kernel) == 3 - linalg.rank(a)
-    for v in kernel:
-        assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in a)
+def _kernel_input(seed):
+    """A singular square, wide or tall matrix with 5-12 rows and entries up
+    to 100.  Beyond the first k, its rows (columns, if tall) are sums or
+    differences of one or two of the first k, which have entries up to 50."""
+    rng = random.Random(seed)
+    shape = ("square", "wide", "tall")[seed % 3]
+    if shape == "square":
+        r = c = rng.randint(5, 12)
+        k = rng.randint(1, r - 1)
+    elif shape == "wide":
+        r = rng.randint(5, 11)
+        c = rng.randint(r + 1, 12)
+        k = rng.randint(1, r)
+    else:
+        c = rng.randint(6, 12)
+        r = rng.randint(5, c - 1)
+        k = rng.randint(1, r - 1)
+    base = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(k)]
+    a = base[:]
+    while len(a) < r:
+        x, y = rng.choice(base), rng.choice(base)
+        s, t = rng.choice((-1, 1)), rng.choice((-1, 0, 1))
+        a.append([s * u + t * w for u, w in zip(x, y)])
+    rng.shuffle(a)
+    return [list(col) for col in zip(*a)] if shape == "tall" else a
+
+
+def test_integer_kernel_annihilates():
+    for seed in range(48):
+        a = _kernel_input(seed)
+        cols = len(a[0])
+        kernel = linalg.integer_kernel(a)
+        assert len(kernel) == cols - oracles.rank(a)
+        for v in kernel:
+            assert all(sum(row[j] * v[j] for j in range(cols)) == 0 for row in a)
+        assert oracles.maximal_minor_gcd(kernel) == 1
 
 
 def test_integer_kernel_saturated():
@@ -215,19 +249,26 @@ def _symmetric_form(seed):
 
 
 def _smith_input(seed, top=12):
-    """A dense or symmetric square matrix of rank 5..top, entries up to 100.
-
-    Such draws are nonsingular but for rare cases, so they take the path
-    reduced modulo |det|.  Singular and rectangular input keeps the
-    unreduced path, which at these sizes still runs for seconds or more
-    (ROADMAP item 1); test_smith_normal_form covers it at 3 x 3.
-    """
+    """A dense or symmetric nonsingular square matrix of rank 5..top, entries
+    up to 100; a singular draw is drawn again from the same rng."""
     rng = random.Random(seed)
-    n = rng.randint(5, top)
-    a = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
-    if rng.random() < 0.5:
-        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return a
+    while True:
+        n = rng.randint(5, top)
+        a = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if oracles.det(a) != 0:
+            return a
+
+
+def test_smith_rejects_singular_and_rectangular():
+    a = _smith_input(0)
+    singular = a[:-1] + [[x - y for x, y in zip(a[0], a[1])]]
+    for bad in (singular, a[:-1], [row[:-1] for row in a], [[0]]):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            linalg.smith_normal_form(bad)
+        assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40, deadline=None)
