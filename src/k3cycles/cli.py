@@ -1,11 +1,14 @@
 """Command line front end: k3cycles <subcommand> [flags].
 
-Each subcommand validates its input, computes with the exact kernels in
-this package, and emits a deterministic artifact: JSON, or CSV for
-`table`.  Exact numbers appear as JSON integers or "p/q" strings; the
-few floating-point fields carry a sibling *_tol key.  Exit codes: 0
-success, 2 validation failure (error JSON on stderr), 64 unknown
-subcommand, 66 file trouble.
+`_COMMANDS` is the one registry of subcommands: each name maps to its
+handler and its flag specs, in `--help` order.  `run` parses the flags,
+loads `--lattice` once when the subcommand takes one, and writes what the
+handler returns once, to stdout or `--output`: a dict as a deterministic
+JSON artifact, a string (the CSV of `table`) as is.  Exact numbers appear
+as JSON integers or "p/q" strings; the few floating-point fields carry a
+sibling *_tol key.  Artifacts are strict JSON: a NaN or infinite float is
+a validation failure, never output.  Exit codes: 0 success, 2 validation
+failure (error JSON on stderr), 64 unknown subcommand, 66 file trouble.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ EXIT_INVALID = 2
 EXIT_USAGE = 64
 EXIT_FILE = 66
 
-_USAGE = (
-    "usage: k3cycles <subcommand> [flags]\n"
-    "subcommands: clifford, count, gauss, info, ks, milgram, table, theta, "
-    "transfer\n"
-    "run `k3cycles <subcommand> --help` for per-subcommand flags\n"
-)
-
 
 class _FileTrouble(Exception):
     """Input or output file could not be read or written."""
@@ -53,53 +49,50 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _emit(text: str, output: Optional[str]) -> int:
+def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as ex:
-        return _fail(EXIT_FILE, "FileTrouble", f"cannot write {output!r}: {ex}")
-    return EXIT_OK
+        raise _FileTrouble(f"cannot write {output!r}: {ex}") from ex
 
 
 def _artifact(payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _frac(x) -> str:
     return str(Fraction(x))
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str, what: str = ""):
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as ex:
         raise _FileTrouble(f"cannot read {path!r}: {ex}") from ex
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as ex:
+        raise ValueError(f"{what}{path!r} is not valid JSON: {ex}") from ex
 
 
 def _load_lattice(spec: str) -> Lattice:
     if spec in BUILTIN_NAMES:
         return builtin_lattice(spec)
-    raw = _read_text(spec)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as ex:
-        raise ValueError(f"lattice file {spec!r} is not valid JSON: {ex}") from ex
-    return Lattice.from_dict(data)
+    return Lattice.from_dict(_read_json(spec, "lattice file "))
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(","))
 
 
-def _cmd_info(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_info(args, lat: Lattice) -> dict:
     sig = signature(lat)
     disc = discriminant_group(lat)
     payload = {
@@ -113,23 +106,23 @@ def _cmd_info(args) -> int:
     }
     if lat.name is not None:
         payload["name"] = lat.name
-    return _emit(_artifact(payload), args.output)
+    return payload
 
 
-def _cmd_count(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_count(args, lat: Lattice) -> dict:
     t = Fraction(args.t)
     h = _parse_vector(args.h) if args.h is not None else None
     payload = {"t": _frac(t), "count": enumeration.rep_count(lat, t, h)}
     if h is not None:
         payload["h"] = [_frac(x) for x in h]
-    return _emit(_artifact(payload), args.output)
+    return payload
 
 
-def _cmd_theta(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_theta(args, lat: Lattice) -> dict:
     h = _parse_vector(args.h) if args.h is not None else None
     bound = Fraction(args.bound)
+    if args.check_transform and args.tau is None:
+        raise ValueError("--check-transform needs --tau")
     exp = theta.theta_coeffs(lat, h, bound=bound)
     payload = {
         "bound": _frac(exp.bound),
@@ -138,8 +131,6 @@ def _cmd_theta(args) -> int:
     }
     if h is not None:
         payload["h"] = [_frac(x) for x in h]
-    if args.check_transform and args.tau is None:
-        raise ValueError("--check-transform needs --tau")
     if args.tau is not None:
         tau = complex(args.tau[0], args.tau[1])
         val = theta.theta_value(lat, h, tau, bound)
@@ -147,17 +138,14 @@ def _cmd_theta(args) -> int:
         payload["theta_value"] = [val.value.real, val.value.imag]
         payload["theta_value_tol"] = val.tail_bound
         if args.check_transform:
-            payload["transform_residual"] = theta.theta_transform_check(
-                lat, tau, bound
-            )
+            payload["transform_residual"] = theta.theta_transform_check(lat, tau, bound)
             payload["transform_residual_tol"] = TRANSFORM_TOL
-    return _emit(_artifact(payload), args.output)
+    return payload
 
 
-def _cmd_gauss(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_gauss(args, lat: Lattice) -> dict:
     val = gauss.gauss_sum(lat, args.a, args.c)
-    payload = {
+    return {
         "a": val.a,
         "c": val.c,
         "rank": val.rank,
@@ -166,13 +154,11 @@ def _cmd_gauss(args) -> int:
         "normalization": val.normalization,
         "normalization_tol": FLOAT_TOL,
     }
-    return _emit(_artifact(payload), args.output)
 
 
-def _cmd_milgram(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_milgram(args, lat: Lattice) -> dict:
     res = gauss.milgram_invariant(lat)
-    payload = {
+    return {
         "signature_mod8": res.signature_mod8,
         "agrees": res.agrees,
         "total": [res.total.real, res.total.imag],
@@ -180,11 +166,9 @@ def _cmd_milgram(args) -> int:
         "error": res.error,
         "error_tol": gauss.MILGRAM_TOLERANCE,
     }
-    return _emit(_artifact(payload), args.output)
 
 
-def _cmd_clifford(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_clifford(args, lat: Lattice) -> dict:
     x = clifford.parse_element(lat, args.element)
     payload = {
         "element": clifford.format_element(x),
@@ -203,11 +187,10 @@ def _cmd_clifford(args) -> int:
         payload["spinor_norm"] = clifford.format_element(clifford.spinor_norm(x))
     if args.gspin:
         payload["is_gspin"] = clifford.is_gspin(x)
-    return _emit(_artifact(payload), args.output)
+    return payload
 
 
-def _cmd_ks(args) -> int:
-    lat = _load_lattice(args.lattice)
+def _cmd_ks(args, lat: Lattice) -> dict:
     plane = kuga_satake.period_plane(
         lat, _parse_vector(args.z1), _parse_vector(args.z2)
     )
@@ -222,7 +205,7 @@ def _cmd_ks(args) -> int:
         splitting = kuga_satake.default_splitting(lat)
     report = kuga_satake.ks_report(lat, splitting, plane)
     endo = kuga_satake.special_endo_lattice(lat, plane)
-    payload = {
+    return {
         "j_square": _frac(report.j_square_scalar),
         "alternating_ok": report.alternating_ok,
         "symmetric_ok": report.symmetric_ok,
@@ -233,20 +216,14 @@ def _cmd_ks(args) -> int:
         "special_endo_rank": endo.rank,
         "special_endo_gram": [list(row) for row in endo.gram],
     }
-    return _emit(_artifact(payload), args.output)
 
 
-def _cmd_transfer(args) -> int:
-    raw = _read_text(args.input)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as ex:
-        raise ValueError(f"{args.input!r} is not valid JSON: {ex}") from ex
-    m = transfer.NumberFieldLattice.from_dict(data)
+def _cmd_transfer(args, _lat) -> dict:
+    m = transfer.NumberFieldLattice.from_dict(_read_json(args.input))
     lat = transfer.trace_lattice(m)
     prof = transfer.signature_profile(m)
     sig = signature(lat)
-    payload = {
+    return {
         "gram": [list(row) for row in lat.gram],
         "rank": lat.rank,
         "signature": [sig.pos, sig.neg],
@@ -256,95 +233,79 @@ def _cmd_transfer(args) -> int:
         "profile": [[p.pos, p.neg] for p in prof],
         "admissible": transfer.ks_shape(prof, sig),
     }
-    return _emit(_artifact(payload), args.output)
 
 
-def _cmd_table(args) -> int:
-    return _emit(transfer.feasibility_csv(), args.output)
+def _cmd_table(args, _lat) -> str:
+    return transfer.feasibility_csv()
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "count": _cmd_count,
-    "theta": _cmd_theta,
-    "gauss": _cmd_gauss,
-    "milgram": _cmd_milgram,
-    "clifford": _cmd_clifford,
-    "ks": _cmd_ks,
-    "transfer": _cmd_transfer,
-    "table": _cmd_table,
-}
-
-_LATTICE_HELP = (
+_LATTICE = ("--lattice", dict(required=True, help=(
     f"builtin name ({', '.join(BUILTIN_NAMES)}) or path to a JSON file "
     'with a "gram" matrix'
+)))
+_H = ("--h", dict(help="coset vector, comma-separated rationals"))
+_FLAG = dict(action="store_true")
+
+# name -> (handler, flag specs in --help order); `--output` comes first
+_COMMANDS = {
+    "info": (_cmd_info, [_LATTICE]),
+    "count": (_cmd_count, [
+        _LATTICE,
+        ("--t", dict(required=True, help="target norm, integer or p/q")),
+        _H,
+    ]),
+    "theta": (_cmd_theta, [
+        _LATTICE,
+        ("--bound", dict(default="10", help="include exponents up to this norm")),
+        _H,
+        ("--tau", dict(nargs=2, type=float, metavar=("RE", "IM"),
+                       help="also evaluate the series at tau = RE + IM*i")),
+        ("--check-transform",
+         dict(_FLAG, help="report the inversion-symmetry residual at --tau")),
+    ]),
+    "gauss": (_cmd_gauss, [
+        _LATTICE,
+        ("--a", dict(required=True, type=int, help="numerator of the phase a/c")),
+        ("--c", dict(required=True, type=int, help="modulus")),
+    ]),
+    "milgram": (_cmd_milgram, [_LATTICE]),
+    "clifford": (_cmd_clifford, [
+        _LATTICE,
+        ("--element", dict(required=True, help="element text, e.g. '2 + 1/2*e{1,3}'")),
+        ("--times", dict(help="right-multiply by this element")),
+        ("--involution", dict(_FLAG, help="apply the main involution")),
+        ("--invert", dict(_FLAG, help="compute the inverse")),
+        ("--spinor-norm", dict(_FLAG, help="compute g * involution(g)")),
+        ("--gspin", dict(_FLAG, help="test conjugation-stabilizes-vectors membership")),
+    ]),
+    "ks": (_cmd_ks, [
+        _LATTICE,
+        ("--z1", dict(required=True, help="first plane vector, comma-separated")),
+        ("--z2", dict(required=True, help="second plane vector, comma-separated")),
+        ("--minus", dict(action="append", metavar="VEC",
+                         help="negative-part basis vector (give exactly twice)")),
+        ("--plus", dict(action="append", metavar="VEC",
+                        help="positive-part basis vector (repeatable)")),
+    ]),
+    "transfer": (_cmd_transfer, [
+        ("--input", dict(required=True,
+                         help='path to JSON with "field" and "gram" over the field')),
+    ]),
+    "table": (_cmd_table, []),
+}
+
+_USAGE = (
+    "usage: k3cycles <subcommand> [flags]\n"
+    f"subcommands: {', '.join(sorted(_COMMANDS))}\n"
+    "run `k3cycles <subcommand> --help` for per-subcommand flags\n"
 )
 
 
 def _build_parser(name: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"k3cycles {name}")
     p.add_argument("--output", metavar="PATH", help="write the artifact here instead of stdout")
-    if name in ("info", "count", "theta", "gauss", "milgram", "clifford", "ks"):
-        p.add_argument("--lattice", required=True, help=_LATTICE_HELP)
-    if name == "count":
-        p.add_argument("--t", required=True, help="target norm, integer or p/q")
-        p.add_argument("--h", help="coset vector, comma-separated rationals")
-    elif name == "theta":
-        p.add_argument("--bound", default="10", help="include exponents up to this norm")
-        p.add_argument("--h", help="coset vector, comma-separated rationals")
-        p.add_argument(
-            "--tau",
-            nargs=2,
-            type=float,
-            metavar=("RE", "IM"),
-            help="also evaluate the series at tau = RE + IM*i",
-        )
-        p.add_argument(
-            "--check-transform",
-            action="store_true",
-            help="report the inversion-symmetry residual at --tau",
-        )
-    elif name == "gauss":
-        p.add_argument("--a", required=True, type=int, help="numerator of the phase a/c")
-        p.add_argument("--c", required=True, type=int, help="modulus")
-    elif name == "clifford":
-        p.add_argument(
-            "--element",
-            required=True,
-            help="element text, e.g. '2 + 1/2*e{1,3}'",
-        )
-        p.add_argument("--times", help="right-multiply by this element")
-        p.add_argument("--involution", action="store_true", help="apply the main involution")
-        p.add_argument("--invert", action="store_true", help="compute the inverse")
-        p.add_argument(
-            "--spinor-norm", action="store_true", help="compute g * involution(g)"
-        )
-        p.add_argument(
-            "--gspin",
-            action="store_true",
-            help="test conjugation-stabilizes-vectors membership",
-        )
-    elif name == "ks":
-        p.add_argument("--z1", required=True, help="first plane vector, comma-separated")
-        p.add_argument("--z2", required=True, help="second plane vector, comma-separated")
-        p.add_argument(
-            "--minus",
-            action="append",
-            metavar="VEC",
-            help="negative-part basis vector (give exactly twice)",
-        )
-        p.add_argument(
-            "--plus",
-            action="append",
-            metavar="VEC",
-            help="positive-part basis vector (repeatable)",
-        )
-    elif name == "transfer":
-        p.add_argument(
-            "--input",
-            required=True,
-            help='path to JSON with "field" and "gram" over the field',
-        )
+    for flag, spec in _COMMANDS[name][1]:
+        p.add_argument(flag, **spec)
     return p
 
 
@@ -371,11 +332,14 @@ def run(argv: Sequence[str]) -> int:
             return EXIT_OK
         return _fail(EXIT_INVALID, "InvalidArguments", f"bad arguments for {name!r}")
     try:
-        return _COMMANDS[name](args)
+        lat = _load_lattice(args.lattice) if hasattr(args, "lattice") else None
+        result = _COMMANDS[name][0](args, lat)
+        _emit(result if isinstance(result, str) else _artifact(result), args.output)
     except _FileTrouble as ex:
         return _fail(EXIT_FILE, "FileTrouble", str(ex))
     except (K3CyclesError, ValueError, ZeroDivisionError) as ex:
         return _fail(EXIT_INVALID, type(ex).__name__, str(ex))
+    return EXIT_OK
 
 
 def main() -> None:

@@ -47,12 +47,18 @@ _DEFAULT_LIMIT = 10_000_000
 
 
 def _enum_limit() -> int:
+    """The node budget: 10^7 if K3CYCLES_ENUM_LIMIT is unset or empty, else its
+    value, which must be a positive integer (ValueError otherwise)."""
     raw = os.environ.get(ENUM_LIMIT_ENV, "")
-    try:
-        v = int(raw)
-    except ValueError:
+    if not raw:
         return _DEFAULT_LIMIT
-    return v if v > 0 else _DEFAULT_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise ValueError(f"{ENUM_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _integer_form(gram) -> tuple[list[list[int]], list[int], int]:

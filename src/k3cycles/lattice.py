@@ -287,17 +287,17 @@ def k3_lattice() -> Lattice:
     return Lattice(summed.gram, name="K3")
 
 
+_BUILTINS = {
+    "H": hyperbolic_plane,
+    "A1": root_a1,
+    "E8": e8_lattice,
+    "E8(-1)": lambda: e8_lattice(-1),
+    "K3": k3_lattice,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_lattice(name: str) -> Lattice:
-    table = {
-        "H": hyperbolic_plane,
-        "A1": root_a1,
-        "E8": e8_lattice,
-        "E8(-1)": lambda: e8_lattice(-1),
-        "K3": k3_lattice,
-    }
-    if name not in table:
-        raise ValueError(f"unknown builtin lattice {name!r}; have {sorted(table)}")
-    return table[name]()
-
-
-BUILTIN_NAMES = ("H", "A1", "E8", "E8(-1)", "K3")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin lattice {name!r}; have {sorted(_BUILTINS)}")
+    return _BUILTINS[name]()

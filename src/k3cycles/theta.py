@@ -87,6 +87,8 @@ class ThetaValue:
 
 def _require_upper_half(tau: complex) -> complex:
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise InvalidTau("tau must be finite")
     if not (tau.imag > 0):
         raise InvalidTau("tau must lie in the upper half plane")
     return tau

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3cycles import clifford, linalg, transfer
+from k3cycles import clifford, linalg, theta, transfer
 from k3cycles.cli import EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 
@@ -46,6 +46,9 @@ def error_json(capsys, expected_code, *argv):
     return doc["error"]
 
 
+SUBCOMMANDS = ("info", "count", "theta", "gauss", "milgram", "clifford", "ks", "transfer", "table")
+
+
 class TestDispatch:
     def test_no_arguments(self, capsys):
         code, out, err = invoke(capsys)
@@ -61,11 +64,14 @@ class TestDispatch:
     def test_help(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == EXIT_OK
-        assert "subcommands" in out
+        listed = [line for line in out.splitlines() if line.startswith("subcommands: ")]
+        assert listed == ["subcommands: " + ", ".join(sorted(SUBCOMMANDS))]
 
-    def test_subcommand_help(self, capsys):
-        code, out, _ = invoke(capsys, "count", "--help")
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help(self, capsys, name):
+        code, out, _ = invoke(capsys, name, "--help")
         assert code == EXIT_OK
+        assert out.startswith(f"usage: k3cycles {name} ")
 
     def test_bad_flags(self, capsys):
         err = error_json(capsys, EXIT_INVALID, "count", "--lattice", "E8")
@@ -216,15 +222,27 @@ class TestTheta:
         assert doc["theta_value_tol"] >= 0
         assert doc["transform_residual"] <= doc["transform_residual_tol"]
 
-    def test_transform_needs_tau(self, capsys):
-        error_json(
-            capsys,
-            EXIT_INVALID,
-            "theta",
-            "--lattice",
-            "A1",
-            "--check-transform",
+    def test_transform_needs_tau(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking --tau")
+
+        monkeypatch.setattr(theta, "theta_coeffs", no_sweep)
+        err = error_json(capsys, EXIT_INVALID, "theta", "--lattice", "A1", "--check-transform")
+        assert err == {"type": "ValueError", "message": "--check-transform needs --tau"}
+
+    # tau = 5e-324 i is finite, but the transform residual overflows to NaN
+    @pytest.mark.parametrize("tau, kind", [
+        (("0", "inf"), "InvalidTau"),
+        (("nan", "1"), "InvalidTau"),
+        (("0", "5e-324"), "ValueError"),
+    ])
+    def test_non_finite_floats_are_errors(self, capsys, tau, kind):
+        code, out, err = invoke(
+            capsys, "theta", "--lattice", "A1", "--bound", "4", "--tau", *tau, "--check-transform"
         )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == kind
 
 
 class TestGaussMilgram:

@@ -1,5 +1,6 @@
 """Exact vector enumeration against brute-force box sweeps."""
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from k3cycles.cli import EXIT_INVALID, run
 from k3cycles.errors import (
     EnumerationLimitExceeded,
     IndefiniteLattice,
@@ -118,6 +120,19 @@ class TestRepCount:
         with pytest.raises(EnumerationLimitExceeded):
             rep_count(e8_lattice(), 41)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("raw", ["1e9", "0", "-5", "abc"])
+    def test_invalid_budget_is_an_error(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", raw)
+        with pytest.raises(ValueError, match=f"K3CYCLES_ENUM_LIMIT.*{raw!r}"):
+            rep_count(e8_lattice(), 4)
+        assert run(["count", "--lattice", "E8", "--t", "4"]) == EXIT_INVALID
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and "K3CYCLES_ENUM_LIMIT" in err["message"]
+
+    def test_empty_budget_keeps_default(self, monkeypatch):
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "")
+        assert rep_count(e8_lattice(), 4) == 2160
 
 
 class TestHistogram:

@@ -91,6 +91,14 @@ class TestNumericalTheta:
         with pytest.raises(InvalidTau):
             theta_value(root_a1(), None, 1 - 1j, 10)
 
+    @pytest.mark.parametrize("tau", [complex(0, math.inf), complex(math.nan, 1),
+                                     complex(math.inf, 1), complex(math.nan, math.nan)])
+    def test_rejects_non_finite(self, tau):
+        with pytest.raises(InvalidTau, match="finite"):
+            theta_value(root_a1(), None, tau, 10)
+        with pytest.raises(InvalidTau, match="finite"):
+            theta_transform_check(root_a1(), tau, 10)
+
     def test_a1_value_agrees_with_direct_sum(self):
         import cmath
 
