@@ -9,13 +9,16 @@ to the first, each level's window is an exact math.isqrt, and no floating
 point or Fraction arithmetic happens inside the recursion.  The recursion
 either scans Q(x) <= bound or, in exact mode, visits only Q(x) = target,
 solving W_0 y^2 = remainder at the last level instead of scanning it.
-Every node visited spends one unit of the K3CYCLES_ENUM_LIMIT budget.
-Coset shifts are allowed, so norms and targets may be non-integral
+It makes no call per vector: the last level is a loop that fills the
+sweep's result, a histogram of the integer norms plus the vectors of the
+norms the caller asked to keep.  Each node spends the K3CYCLES_ENUM_LIMIT
+budget for all its children at once, so the sweep spends one unit per
+node.  Coset shifts are allowed, so norms and targets may be non-integral
 rationals; Fraction appears only when converting at the public edge.
 
-On a trivial coset the recursion visits each +-pair once, with weight 2,
-and the zero vector once; it reads this off the coset itself, so callers
-that need both vectors expand the pair.
+On a trivial coset the recursion visits each +-pair once and counts it
+twice (kept shells get both vectors), and the zero vector once; it reads
+this off the coset itself.
 
 Tuple counts (genus r) go through one routine for single targets and
 Siegel tables alike: each coset's slots get their norm shells from one
@@ -32,7 +35,7 @@ import math
 import os
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -106,18 +109,22 @@ def _sweep(
     form,
     shift: Sequence[Fraction],
     bound: Fraction,
-    visit: Callable[[list[int], int, int], None],
     budget: Optional[_Budget] = None,
     exact: bool = False,
-) -> int:
-    """Call visit(X, N, weight) for x in Z^n + shift with Q(x) <= bound
-    (Q(x) == bound if exact), where X = D x is integral for the denominator
-    D of shift and N = K D^2 Q(x) is the integer norm; return K D^2.
+    keep: Sequence[int] = (),
+) -> tuple[int, dict[int, int], dict[int, list[list[int]]]]:
+    """Sweep x in Z^n + shift with Q(x) <= bound (Q(x) == bound if exact)
+    and return (K D^2, hist, kept) for the denominator D of shift: hist
+    maps each integer norm N = K D^2 Q(x) to its number of vectors, and
+    kept maps each N in keep to its integral vectors X = D x.
 
     Every window is an exact isqrt; in exact mode the last level solves
-    W_0 y^2 = left instead of scanning.  Each node spends one unit of the
-    budget.  On the trivial coset each x is visited once per +-pair with
-    weight 2, and the zero vector with weight 1.
+    W_0 y^2 = left instead of scanning.  Level 0 is a loop over its
+    vectors, and level i - 1's linear term is c + dc * m in level i's m.
+    The root spends one unit of the budget and every node spends one per
+    child before visiting them, one unit per node in all.  On the trivial
+    coset each +-pair is visited once and counted twice (kept gets both
+    vectors), and the zero vector once.
     """
     rows, weights, k = form
     n = len(weights)
@@ -125,24 +132,21 @@ def _sweep(
     den = _denominator(shift)
     unit = k * den * den
     cap = bound * unit
+    hist: dict[int, int] = {}
+    kept: dict[int, list[list[int]]] = {t: [] for t in keep}
     if cap < 0 or (exact and cap.denominator != 1):
-        return unit
+        return unit, hist, kept
     top = cap.__floor__()
     lift = [int(h * den) for h in shift]
     if budget is None:
         budget = _Budget(_enum_limit())
+    budget.spend()
     xs = [0] * n
+    pair = 2 if symmetric else 1
 
-    def rec(i: int, left: int, zero_prefix: bool):
-        budget.spend()
-        if i < 0:
-            if not (exact and left):
-                visit(xs, top - left, 2 if (symmetric and not zero_prefix) else 1)
-            return
-        row, w, h = rows[i], weights[i], lift[i]
+    def rec(i: int, left: int, b: int, zero: bool):
         # y = e_i X_i + sum_{j>i} a_ij X_j = step * m + b for X_i = h + den * m
-        step = row[i] * den
-        b = row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
+        w, step = weights[i], rows[i][i] * den
         if exact and i == 0:
             q, rest = divmod(left, w)
             r = math.isqrt(q)
@@ -151,15 +155,35 @@ def _sweep(
         else:
             r = math.isqrt(left // w)
             ms = range(-((r + b) // step), (r - b) // step + 1)
+        if symmetric and zero:
+            ms = [m for m in ms if m >= 0]
+        budget.spend(len(ms))
+        if i == 0:
+            base = top - left
+            for m in ms:
+                y = step * m + b
+                t = base + w * y * y
+                hist[t] = hist.get(t, 0) + pair
+                if t in kept:
+                    xs[0] = lift[0] + den * m
+                    kept[t] += [xs[:], [-v for v in xs]] if symmetric and t else [xs[:]]
+            return
+        h, row = lift[i], rows[i - 1]
+        c = row[i - 1] * lift[i - 1] + row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
+        dc = row[i] * den
         for m in ms:
-            if symmetric and zero_prefix and m < 0:
-                continue
             y = step * m + b
             xs[i] = h + den * m
-            rec(i - 1, left - w * y * y, zero_prefix and xs[i] == 0)
+            rec(i - 1, left - w * y * y, c + dc * m, zero and xs[i] == 0)
 
-    rec(n - 1, top, True)
-    return unit
+    if n:
+        rec(n - 1, top, rows[-1][-1] * lift[-1], True)
+    elif not (exact and top):
+        hist[0] = 1
+        kept.get(0, []).append([])
+    if symmetric and 0 in hist:  # the zero vector, counted as a pair
+        hist[0] = 1
+    return unit, hist, kept
 
 
 def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
@@ -171,50 +195,31 @@ def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
     return [x - x.__floor__() for x in hv]
 
 
-def _signed(xs: Sequence[int], w: int, scale: int = 1) -> list[list[int]]:
-    """scale * xs, with its negative when a symmetric sweep visited the
-    +-pair once (w == 2)."""
-    x = [v * scale for v in xs]
-    return [x, [-v for v in x]] if w == 2 else [x]
-
-
 def enumerate_vectors(lat: Lattice, t, h: Optional[Sequence] = None) -> list[Vector]:
     """All x in L + h with (x, x) = t, in lexicographic coordinate order."""
     t = Fraction(t)
     shift = _normalized_shift(lat, h)
-    out: list[tuple[int, ...]] = []
-    _sweep(_integer_form(lat.gram), shift, t,
-           lambda xs, _n, w: out.extend(map(tuple, _signed(xs, w))), exact=True)
-    out.sort()
+    form = _integer_form(lat.gram)
     den = _denominator(shift)
+    norm = t * form[2] * den * den
+    keep = (norm.numerator,) if norm.denominator == 1 else ()
+    _unit, _hist, kept = _sweep(form, shift, t, exact=True, keep=keep)
+    out = sorted(tuple(xs) for vs in kept.values() for xs in vs)
     return [tuple(Fraction(v, den) for v in xs) for xs in out]
 
 
 def rep_count(lat: Lattice, t, h: Optional[Sequence] = None) -> int:
     """Number of x in L + h with (x, x) = t; zero for negative t."""
     t = Fraction(t)
-    shift = _normalized_shift(lat, h)
-    total = 0
-
-    def visit(_xs, _n, w):
-        nonlocal total
-        total += w
-
-    _sweep(_integer_form(lat.gram), shift, t, visit, exact=True)
-    return total
+    _unit, hist, _kept = _sweep(_integer_form(lat.gram), _normalized_shift(lat, h), t, exact=True)
+    return sum(hist.values())
 
 
 def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction, int]:
     """Counts of every norm value <= bound in L + h, keyed exactly."""
     bound = Fraction(bound)
-    shift = _normalized_shift(lat, h)
-    counts: dict[int, int] = {}
-
-    def visit(_xs, norm, w):
-        counts[norm] = counts.get(norm, 0) + w
-
-    unit = _sweep(_integer_form(lat.gram), shift, bound, visit)
-    return {Fraction(norm, unit): c for norm, c in counts.items()}
+    unit, hist, _kept = _sweep(_integer_form(lat.gram), _normalized_shift(lat, h), bound)
+    return {Fraction(norm, unit): c for norm, c in hist.items()}
 
 
 def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:
@@ -268,16 +273,11 @@ def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fractio
         # slot norm t / s^2 is the sweep's integer norm K D^2 t / s^2
         sq = factor * factor
         wanted = {t * form[2] // sq: t for t in norms if t * form[2] % sq == 0}
-        found: dict[int, list[list[int]]] = {t: [] for t in norms}
-
-        def visit(xs, n, w):
-            if n in wanted:
-                found[wanted[n]].extend(_signed(xs, w, factor))
-
-        _sweep(form, h, Fraction(max(norms), scale * scale), visit, budget,
-               exact=len(norms) == 1)
-        for t, vs in found.items():
-            shells[h, t] = _shell(lat.gram, vs)
+        _unit, _hist, kept = _sweep(form, h, Fraction(max(norms), scale * scale), budget,
+                                    exact=len(norms) == 1, keep=wanted)
+        found = {t: kept[n] for n, t in wanted.items()}
+        for t in norms:
+            shells[h, t] = _shell(lat.gram, [[v * factor for v in x] for x in found.get(t, ())])
     return [_tuple_search(t, [shells[h, t[k][k]] for k, h in enumerate(keys)], budget)
             for t in targets]
 

@@ -108,7 +108,9 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
     """Crude but valid bound on the dropped terms, from coordinate boxes.
 
     Any x with Q(x) = t has |x_i|^2 <= (G^-1)_ii * t, so the number of
-    norms in (t-1, t] is at most the full box count at t.
+    norms in (t-1, t] is at most the full box count at t.  Returns inf
+    when 200000 terms do not reach the stopping rule (Im tau below about
+    1e-4): the partial sum is then no bound.
     """
     v = tau.imag
     if lat.rank == 0:
@@ -126,8 +128,8 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
         term = count * math.exp(-math.pi * v * (t - 1.0))
         total += term
         if term < 1e-300 or (total > 0 and term / total < 1e-18 and k > 8):
-            break
-    return total
+            return total
+    return math.inf
 
 
 def theta_value(lat: Lattice, h: Optional[Sequence], tau: complex, bound) -> ThetaValue:
@@ -155,9 +157,15 @@ def theta_transform_check(lat: Lattice, tau: complex, bound) -> float:
     disc = discriminant_group(lat)
     zero = norm_histogram(lat, None, bound)
     lhs = _theta_sum(zero, -1.0 / tau)
+    # x -> -x maps L + h onto L - h with the same norms, so each +-h pair
+    # of reduced cosets is swept once
+    hists: dict = {}
     coset_sum = complex(0.0)
     for h in disc.elements():
-        coset_sum += _theta_sum(norm_histogram(lat, h, bound) if any(h) else zero, tau)
+        hist = hists.get(tuple(-x % 1 for x in h))
+        if hist is None:
+            hist = hists[h] = norm_histogram(lat, h, bound) if any(h) else zero
+        coset_sum += _theta_sum(hist, tau)
     factor = (tau / 1j) ** (lat.rank / 2.0)
     rhs = factor * coset_sum / math.sqrt(disc.order)
     return abs(lhs - rhs)

@@ -244,6 +244,15 @@ class TestTheta:
         assert out == ""
         assert json.loads(err)["error"]["type"] == kind
 
+    def test_unbounded_tail_is_an_error(self, capsys):
+        # at Im tau = 1e-18 the tail bound is inf, which strict JSON refuses
+        code, out, err = invoke(
+            capsys, "theta", "--lattice", "A1", "--bound", "4", "--tau", "0", "1e-18"
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestGaussMilgram:
     def test_gauss_value(self, capsys):

@@ -130,6 +130,20 @@ class TestRepCount:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError" and "K3CYCLES_ENUM_LIMIT" in err["message"]
 
+    @pytest.mark.parametrize("count, nodes", [
+        (lambda: norm_histogram(e8_lattice(), None, 10), 50444),
+        (lambda: rep_count(e8_lattice(), 6), 8227),
+        (lambda: tuple_rep_count(e8_lattice(), ((2, 1), (1, 2))), 57979),
+    ], ids=["histogram", "rep_count", "pairs"])
+    def test_budget_is_spent_exactly(self, monkeypatch, count, nodes):
+        # one unit per node of the search tree and per candidate check:
+        # the total passes, one less does not
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes))
+        count()
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes - 1))
+        with pytest.raises(EnumerationLimitExceeded):
+            count()
+
     def test_empty_budget_keeps_default(self, monkeypatch):
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "")
         assert rep_count(e8_lattice(), 4) == 2160
@@ -241,19 +255,22 @@ def test_tuple_count_matches_box(case):
     )
 
 
-@settings(max_examples=15, deadline=None)
-@given(posdef_lattices(rank_max=2))
-def test_histogram_matches_box(lat):
-    assert norm_histogram(lat, None, 8) == oracles.box_histogram(lat, 8)
-
-
 @st.composite
-def shifted_lattices(draw):
-    """A rank 2-5 lattice and a coset shift of denominator 2, 3 or 6."""
-    lat = draw(posdef_lattices(rank_max=5, rank_min=2))
+def shifted_lattices(draw, rank_max=5):
+    """A lattice of rank 2 to rank_max and a coset shift of denominator 2,
+    3 or 6."""
+    lat = draw(posdef_lattices(rank_max=rank_max, rank_min=2))
     den = draw(st.sampled_from((2, 3, 6)))
     h = tuple(Fraction(draw(st.integers(0, den - 1)), den) for _ in range(lat.rank))
     return lat, h
+
+
+@settings(max_examples=15, deadline=None)
+@given(posdef_lattices(rank_max=2), shifted_lattices(rank_max=4))
+def test_histogram_matches_box(lat, case):
+    assert norm_histogram(lat, None, 8) == oracles.box_histogram(lat, 8)
+    shifted, h = case
+    assert norm_histogram(shifted, h, 6) == oracles.box_histogram(shifted, 6, h)
 
 
 @settings(max_examples=40, deadline=None)

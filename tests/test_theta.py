@@ -109,6 +109,15 @@ class TestNumericalTheta:
         )
         assert abs(val.value - direct) < 1e-12 + val.tail_bound
 
+    # the tail of A1 above norm 4 at tau = iv is theta_3(2iv) - 1 - 2exp(-2 pi v),
+    # at least sqrt(1/(2v)) - 3 by Poisson summation; below Im tau = 1e-4 the
+    # 200000 terms of _tail_bound do not reach its stopping rule
+    @pytest.mark.parametrize("im, finite", [(1e-4, True), (1e-16, False), (1e-18, False)])
+    def test_tail_bound_is_a_bound_or_inf(self, im, finite):
+        tol = theta_value(root_a1(), None, complex(0, im), 4).tail_bound
+        assert math.isfinite(tol) == finite
+        assert tol >= math.sqrt(1 / (2 * im)) - 3
+
     def test_transform_a1(self):
         assert theta_transform_check(root_a1(), 2j, bound=60) < 1e-8
 
