@@ -217,9 +217,20 @@ def rep_count(lat: Lattice, t, h: Optional[Sequence] = None) -> int:
 
 def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction, int]:
     """Counts of every norm value <= bound in L + h, keyed exactly."""
+    return _norm_histograms(lat, [_normalized_shift(lat, h)], bound)[0]
+
+
+def _norm_histograms(lat: Lattice, shifts: Sequence, bound) -> list[dict[Fraction, int]]:
+    """norm_histogram of each coset L + h for the reduced shifts h, from one
+    integer form under one budget."""
     bound = Fraction(bound)
-    unit, hist, _kept = _sweep(_integer_form(lat.gram), _normalized_shift(lat, h), bound)
-    return {Fraction(norm, unit): c for norm, c in hist.items()}
+    form = _integer_form(lat.gram)
+    budget = _Budget(_enum_limit())
+    out = []
+    for h in shifts:
+        unit, hist, _kept = _sweep(form, h, bound, budget)
+        out.append({Fraction(norm, unit): c for norm, c in hist.items()})
+    return out
 
 
 def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:

@@ -10,6 +10,7 @@ discriminant groups by Smith normal form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -154,13 +155,11 @@ class DiscriminantGroup:
         if not self.invariant_factors:
             yield tuple(Fraction(0) for _ in range(self.rank))
             return
-        n = len(self.generators[0])
+        # the generators as integers over their common denominator, by coordinate
+        den = math.lcm(*(x.denominator for g in self.generators for x in g))
+        cols = list(zip(*([int(x * den) for x in g] for g in self.generators)))
         for ks in itertools.product(*(range(d) for d in self.invariant_factors)):
-            coords = [Fraction(0)] * n
-            for k, g in zip(ks, self.generators):
-                for i in range(n):
-                    coords[i] += k * g[i]
-            yield tuple(c - c.__floor__() for c in coords)
+            yield tuple(Fraction(sum(map(mul, ks, col)) % den, den) for col in cols)
 
 
 @dataclass(frozen=True)

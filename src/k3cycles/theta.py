@@ -10,6 +10,7 @@ enters, and it always carries an explicit truncation tail bound.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .enumeration import _tuple_counts, norm_histogram
+from .enumeration import _norm_histograms, _tuple_counts, norm_histogram
 from .errors import InvalidTau, UnsupportedWeight
 from .lattice import Lattice, discriminant_group
 
@@ -108,9 +109,12 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
     """Crude but valid bound on the dropped terms, from coordinate boxes.
 
     Any x with Q(x) = t has |x_i|^2 <= (G^-1)_ii * t, so the number of
-    norms in (t-1, t] is at most the full box count at t.  Returns inf
-    when 200000 terms do not reach the stopping rule (Im tau below about
-    1e-4): the partial sum is then no bound.
+    norms in (t-1, t] is at most the full box count at t.  When 200000
+    terms do not reach the stopping rule, the rest is bounded by a
+    geometric series: the ratio r of consecutive terms only falls as t
+    grows (log(2 sqrt(g t) + 1) is concave), so the rest is at most
+    term r / (1 - r) once r < 1 at the last t.  Otherwise (Im tau below
+    about 1e-6 for A1) the bound is inf.
     """
     v = tau.imag
     if lat.rank == 0:
@@ -129,7 +133,9 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
         total += term
         if term < 1e-300 or (total > 0 and term / total < 1e-18 and k > 8):
             return total
-    return math.inf
+    ratio = ((2.0 * math.sqrt(g * (t + 1)) + 1.0) / (2.0 * math.sqrt(g * t) + 1.0)) ** lat.rank
+    ratio *= math.exp(-math.pi * v)
+    return total + term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 def theta_value(lat: Lattice, h: Optional[Sequence], tau: complex, bound) -> ThetaValue:
@@ -155,17 +161,18 @@ def theta_transform_check(lat: Lattice, tau: complex, bound) -> float:
     tau = _require_upper_half(tau)
     bound = Fraction(bound)
     disc = discriminant_group(lat)
-    zero = norm_histogram(lat, None, bound)
-    lhs = _theta_sum(zero, -1.0 / tau)
+    cosets = list(disc.elements())  # the zero coset first
     # x -> -x maps L + h onto L - h with the same norms, so each +-h pair
     # of reduced cosets is swept once
-    hists: dict = {}
+    rep: dict = {}
+    for h in cosets:
+        rep[h] = rep.get(tuple(-x % 1 for x in h), h)
+    swept = list(dict.fromkeys(rep.values()))
+    hists = dict(zip(swept, _norm_histograms(lat, swept, bound)))
+    lhs = _theta_sum(hists[cosets[0]], -1.0 / tau)
     coset_sum = complex(0.0)
-    for h in disc.elements():
-        hist = hists.get(tuple(-x % 1 for x in h))
-        if hist is None:
-            hist = hists[h] = norm_histogram(lat, h, bound) if any(h) else zero
-        coset_sum += _theta_sum(hist, tau)
+    for h in cosets:
+        coset_sum += _theta_sum(hists[rep[h]], tau)
     factor = (tau / 1j) ** (lat.rank / 2.0)
     rhs = factor * coset_sum / math.sqrt(disc.order)
     return abs(lhs - rhs)
@@ -209,8 +216,6 @@ class FourierTable:
 def _psd_targets(r: int, bound: int):
     """All psd symmetric integer r x r matrices with trace <= bound, with
     their ranks, in deterministic lexicographic order."""
-    import itertools
-
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     for diag in itertools.product(range(bound + 1), repeat=r):
         if sum(diag) > bound:
@@ -220,10 +225,9 @@ def _psd_targets(r: int, bound: int):
             t = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
             for (i, j), x in zip(pairs, off):
                 t[i][j] = t[j][i] = x
-            m, _s = linalg._symmetric_pass(t)
-            d = [row[i] for i, row in enumerate(m)]
-            if min(d) >= 0:
-                yield tuple(tuple(row) for row in t), sum(x > 0 for x in d)
+            p, q, _z = linalg.inertia(t)
+            if q == 0:
+                yield tuple(tuple(row) for row in t), p
 
 
 def siegel_theta_table(lat: Lattice, r: int, bound: int) -> FourierTable:

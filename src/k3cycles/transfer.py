@@ -7,7 +7,10 @@ flips the sign of the embeddings below r, so the per-embedding
 signatures, and with them the admissibility shape (one embedding of
 signature (2, m), the rest (0, m+2)), come exactly from the inertia of d
 integer trace forms.  Also here: the (d, m, N) feasibility rows for
-2 <= d(m+2) <= 21 and the trace-zero lattice of a quaternion order.
+2 <= d(m+2) <= 21 and the trace-zero lattice of a quaternion order,
+found in the integer coordinates of the order's Z-basis: one inverse
+decides membership, and each candidate O_F-basis costs one integer Gram
+determinant.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -303,36 +307,6 @@ class QuaternionAlgebra:
         return self.reduced_trace(self.multiply(x, self.conjugate(y)))
 
 
-def _flat_coords(field: TotallyRealField, q: Quaternion) -> list[Fraction]:
-    out: list[Fraction] = []
-    for comp in q:
-        out.extend(field.integral_coords(comp.power))
-    return out
-
-
-def _order_span_matrix(field: TotallyRealField, elems: Sequence[Quaternion]):
-    """Columns: flat O_F-coordinates of omega_k * e for each element e."""
-    d = field.degree
-    cols = []
-    for q in elems:
-        for w in field.omegas:
-            scaled = tuple(w * comp for comp in q)
-            cols.append(_flat_coords(field, scaled))
-    denom = 1
-    for col in cols:
-        for x in col:
-            denom = math.lcm(denom, x.denominator)
-    mat = [[int(cols[c][r] * denom) for c in range(len(cols))] for r in range(4 * d)]
-    return mat, denom
-
-
-def _in_span(field, span_matrix, denom, q: Quaternion) -> bool:
-    """Whether q is an integer combination of the columns of span_matrix,
-    which has full column rank, so the rational solution is unique."""
-    x = linalg.solve(span_matrix, [c * denom for c in _flat_coords(field, q)])
-    return x is not None and all(c.denominator == 1 for c in x)
-
-
 def quaternion_trace_zero(
     field: TotallyRealField,
     a,
@@ -341,11 +315,18 @@ def quaternion_trace_zero(
 ) -> NumberFieldLattice:
     """Trace-zero part of a quaternion order, with (x,y) = tr_red(x conj(y)).
 
-    order_basis holds 4 quaternions, each as 4 integral-basis coordinate
-    vectors against 1, i, j, k.  The span must contain 1, be stable under
-    O_F, and be closed under multiplication; the trace-zero kernel is
-    saturated and returned as a free rank-3 O_F-lattice (NotFreeModule
-    when no basis of the kernel module exists).
+    order_basis holds 4 quaternions e_s, each as 4 integral-basis coordinate
+    vectors against 1, i, j, k.  The order is their O_F-span, with Z-basis
+    z_(s d + k) = omega_k e_s; it must contain 1 and be closed under
+    multiplication.  The rest is integer linear algebra on z-coordinates:
+    a quaternion lies in the order exactly when its power coordinates
+    times the inverse of the z rows are integers, the trace-zero module K
+    is the integer kernel of the 1-component, and omega_k acts by the
+    integer structure constants of the integral basis.  The O_F-span of
+    three kernel vectors v lies in K, so it is all of K exactly when its
+    3d generators omega_k v have the Gram determinant of the kernel basis
+    (index 1).  The first such triple is returned as a free rank-3
+    O_F-lattice (NotFreeModule when no triple of kernel vectors spans K).
     """
     alg = QuaternionAlgebra(
         field,
@@ -360,54 +341,48 @@ def quaternion_trace_zero(
         basis.append(tuple(field.element(c) for c in q))
     if len(basis) != 4:
         raise NotAnOrder("an order basis must have 4 elements")
-    span_matrix, denom = _order_span_matrix(field, basis)
-    if linalg.rank(span_matrix) != 4 * d:
-        raise NotAnOrder("order basis does not span the algebra over F")
-    one = alg.element([field.one(), field.zero(), field.zero(), field.zero()])
-    if not _in_span(field, span_matrix, denom, one):
-        raise NotAnOrder("the order does not contain 1")
-    for x in basis:
-        for y in basis:
-            if not _in_span(field, span_matrix, denom, alg.multiply(x, y)):
-                raise NotAnOrder("the order basis is not closed under multiplication")
-
-    # trace-zero condition: d rational equations on the 4d integer coords
     omegas = field.omegas
-    rows: list[list[Fraction]] = [[] for _ in range(d)]
-    for q in basis:
-        for w in omegas:
-            val = alg.reduced_trace(tuple(w * comp for comp in q))
-            for r in range(d):
-                rows[r].append(val.power[r])
-    int_rows, _scale = linalg._integer_rows(rows)
-    kernel = linalg.integer_kernel(int_rows, cols=4 * d)
+    # row s d + k: the power coordinates of omega_k e_s, component outer
+    rows = [[c for comp in e for c in (w * comp).power] for e in basis for w in omegas]
+    inv = linalg.inverse(rows)
+    if inv is None:
+        raise NotAnOrder("order basis does not span the algebra over F")
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    inv_cols = [[int(x * den) for x in col] for col in zip(*inv)]
+
+    def in_order(q: Quaternion) -> bool:
+        (flat,), (scale,) = linalg._integer_rows([[c for comp in q for c in comp.power]])
+        return all(sum(map(mul, flat, col)) % (scale * den) == 0 for col in inv_cols)
+
+    if not in_order(alg.element([field.one(), field.zero(), field.zero(), field.zero()])):
+        raise NotAnOrder("the order does not contain 1")
+    if not all(in_order(alg.multiply(x, y)) for x in basis for y in basis):
+        raise NotAnOrder("the order basis is not closed under multiplication")
+
+    # tr_red(x) = 2 x_0, so trace zero means the first d columns of rows vanish
+    trace_rows, _scales = linalg._integer_rows(list(zip(*rows))[:d])
+    kernel = linalg.integer_kernel(trace_rows, cols=4 * d)
     if len(kernel) != 3 * d:
         raise NotFreeModule(
             f"trace-zero kernel has Z-rank {len(kernel)}, expected {3 * d}"
         )
+    # omega_k omega_l = sum_m mult[k][l][m] omega_m, integral in an order
+    mult = [[field._to_integral((wk * wl).power) for wl in omegas] for wk in omegas]
+    orbits = [[[sum(mk[l][m] * v[s * d + l] for l in range(d))
+                for s in range(4) for m in range(d)] for mk in mult] for v in kernel]
 
-    def to_quaternion(flat: Sequence[int]) -> Quaternion:
-        comps = []
-        for t in range(4):
-            coeff = field.zero()
-            for k in range(d):
-                coeff = coeff + flat[t * d + k] * omegas[k]
-            comps.append(coeff)
-        q = alg.zero()
-        for t in range(4):
-            q = tuple(c + comps[t] * comp for c, comp in zip(q, basis[t]))
-        return q
+    def gram_det(vs: Sequence[Sequence[int]]) -> Fraction:
+        return linalg.det([[sum(map(mul, x, y)) for y in vs] for x in vs])
 
-    quats = [to_quaternion(v) for v in kernel]
-    for triple in itertools.combinations(range(len(quats)), 3):
-        chosen = [quats[t] for t in triple]
-        span, sden = _order_span_matrix(field, chosen)
-        if linalg.rank(span) != 3 * d:
-            continue
-        if all(_in_span(field, span, sden, q) for q in quats):
-            gram = tuple(
-                tuple(alg.pairing(x, y) for y in chosen) for x in chosen
-            )
+    full = gram_det(kernel)
+    for triple in itertools.combinations(zip(kernel, orbits), 3):
+        if gram_det([u for _v, orbit in triple for u in orbit]) == full:
+            chosen = []
+            for v, _orbit in triple:
+                flat = linalg.mat_mul([v], rows)[0]
+                chosen.append(tuple(FieldElement(field, tuple(flat[t * d:(t + 1) * d]))
+                                    for t in range(4)))
+            gram = tuple(tuple(alg.pairing(x, y) for y in chosen) for x in chosen)
             return NumberFieldLattice(field, gram)
     raise NotFreeModule(
         "the trace-zero module admits no free O_F-basis among kernel generators"

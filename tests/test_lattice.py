@@ -1,5 +1,6 @@
 """Builtin lattices, invariants, discriminant groups, embeddings."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -286,3 +287,16 @@ def test_discriminant_generators_give_distinct_cosets(seed):
         assert all(0 <= x < 1 for x in g)
         assert all((f * x).denominator == 1 for x in g)
     assert len(set(d.elements())) == d.order
+    # the cosets sum k_j g_j mod 1 in itertools.product order of the k_j
+    assert list(d.elements()) == [
+        tuple(sum(k * g[i] for k, g in zip(ks, d.generators)) % 1 for i in range(d.rank))
+        for ks in itertools.product(*map(range, d.invariant_factors))]
+
+
+def test_cosets_of_diag2_power_12():
+    lat = Lattice(tuple(tuple(2 * (i == j) for j in range(12)) for i in range(12)))
+    d = discriminant_group(lat)
+    start = time.perf_counter()
+    cosets = list(d.elements())
+    assert time.perf_counter() - start < 1.0
+    assert cosets == sorted(itertools.product((Fraction(0), Fraction(1, 2)), repeat=12))

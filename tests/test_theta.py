@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from k3cycles import linalg, theta
-from k3cycles.errors import InvalidTau, UnsupportedWeight
+from k3cycles.errors import EnumerationLimitExceeded, InvalidTau, UnsupportedWeight
 from k3cycles.lattice import Lattice, direct_sum, e8_lattice, root_a1
 from k3cycles.theta import (
     bernoulli,
@@ -111,8 +111,10 @@ class TestNumericalTheta:
 
     # the tail of A1 above norm 4 at tau = iv is theta_3(2iv) - 1 - 2exp(-2 pi v),
     # at least sqrt(1/(2v)) - 3 by Poisson summation; below Im tau = 1e-4 the
-    # 200000 terms of _tail_bound do not reach its stopping rule
-    @pytest.mark.parametrize("im, finite", [(1e-4, True), (1e-16, False), (1e-18, False)])
+    # 200000 terms of _tail_bound do not reach its stopping rule, and its
+    # geometric remainder keeps the bound finite down to about 1e-6
+    @pytest.mark.parametrize("im, finite", [(1e-4, True), (5e-5, True), (1e-6, True),
+                                            (1e-7, False), (1e-16, False), (1e-18, False)])
     def test_tail_bound_is_a_bound_or_inf(self, im, finite):
         tol = theta_value(root_a1(), None, complex(0, im), 4).tail_bound
         assert math.isfinite(tol) == finite
@@ -124,6 +126,16 @@ class TestNumericalTheta:
     def test_transform_rational_coset_lattice(self):
         lat = Lattice(((2, 0), (0, 4)))
         assert theta_transform_check(lat, 1.5j, bound=40) < 1e-8
+
+    def test_transform_sweeps_share_one_budget(self, monkeypatch):
+        # A2 + A2 to bound 4 sweeps 5 of its 9 cosets in 43 + 46 + 50 + 52 + 52
+        # nodes, so the whole check needs a budget of 243
+        a2 = Lattice(((2, 1), (1, 2)))
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "243")
+        theta_transform_check(direct_sum(a2, a2), 0.3 + 0.9j, 4)
+        monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "242")
+        with pytest.raises(EnumerationLimitExceeded):
+            theta_transform_check(direct_sum(a2, a2), 0.3 + 0.9j, 4)
 
 
 class TestSiegelTable:

@@ -1,6 +1,8 @@
 """Trace-form transfer, signature profiles, quaternion trace-zero lattices."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from k3cycles import linalg
 from k3cycles.errors import DegenerateTransfer, NotAnOrder
 from k3cycles.lattice import Signature, signature
 from k3cycles.numberfield import TotallyRealField
@@ -35,6 +38,29 @@ STANDARD_ORDER = (
     ((0,), (0,), (1,), (0,)),
     ((0,), (0,), (0,), (1,)),
 )
+GOLDEN = TotallyRealField((-5, 0, 1), ((1, 0), (Fraction(1, 2), Fraction(1, 2))))
+SEPTIC = TotallyRealField((1, -4, -4, 10, 4, -6, -1, 1))
+
+
+def standard_order(d):
+    """Z<1, i, j, k> tensor O_F as integral-basis coordinates."""
+    return [[[int(t == s and c == 0) for c in range(d)] for t in range(4)] for s in range(4)]
+
+
+def trace_zero_gram(field, a, b, order):
+    """tr_{F/Q} tr_red(x conj(y)) on the integer kernel Z-basis of the
+    trace-zero part of the order with Z-basis omega_k e_s."""
+    alg = QuaternionAlgebra(field, field.element(a), field.element(b))
+    zs = [tuple(w * field.element(c) for c in e) for e in order for w in field.omegas]
+    rows = [[z[0].power[r] for z in zs] for r in range(field.degree)]
+    scaled = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+    quats = []
+    for v in linalg.integer_kernel(scaled, cols=len(zs)):
+        q = alg.zero()
+        for c, z in zip(v, zs):
+            q = tuple(x + c * y for x, y in zip(q, z))
+        quats.append(q)
+    return [[field.trace(alg.pairing(x, y)) for y in quats] for x in quats]
 
 
 class TestTraceLattice:
@@ -208,6 +234,46 @@ class TestQuaternion:
         bad = STANDARD_ORDER[:3] + (((0,), (0,), (0,), (2,)),)
         with pytest.raises(NotAnOrder):
             quaternion_trace_zero(RATIONALS, (-1,), (-1,), bad)
+
+    def test_rejects_repeated_element(self):
+        bad = STANDARD_ORDER[:3] + STANDARD_ORDER[2:3]
+        with pytest.raises(NotAnOrder, match="does not span"):
+            quaternion_trace_zero(RATIONALS, (-1,), (-1,), bad)
+
+    @pytest.mark.parametrize("field", [GOLDEN, CUBIC], ids=["golden", "cubic"])
+    @pytest.mark.parametrize("seed", range(32, 44))
+    def test_basis_spans_the_whole_trace_zero_module(self, field, seed):
+        # the returned O_F-basis spans all of K, not a sublattice of full
+        # rank: its trace lattice has the |det| of the trace form on a
+        # Z-basis of K.  At seeds 32 and 40 (cubic) and 42 (golden) the
+        # first triple of full rank spans a proper sublattice.
+        rng = random.Random(seed)
+        d = field.degree
+        a, b = ([rng.choice([-3, -2, -1, 1, 2, 3])] + [rng.randint(-3, 3) for _ in range(d - 1)]
+                for _ in range(2))
+        one, zero = field.one(), field.zero()
+        order = [[one if t == s else zero for t in range(4)] for s in range(4)]
+        if seed % 2:  # Z<1, 2i, j, 2k> tensor O_F, an order for all a, b
+            order[1][1] = order[3][3] = one + one
+        for _ in range(4):  # e_s += c e_t, c in O_F, spans the same order
+            s, t = rng.sample(range(4), 2)
+            c = field.element([rng.randint(-2, 2) for _ in range(d)])
+            order[s] = [x + c * y for x, y in zip(order[s], order[t])]
+        order = [[field._to_integral(x.power) for x in e] for e in order]
+        m = quaternion_trace_zero(field, a, b, order)
+        want = abs(oracles.det(trace_zero_gram(field, a, b, order)))
+        assert abs(trace_lattice(m).det) == want > 0
+
+    def test_septic_witness(self):
+        # the m = 1 witness at d = 7: (q theta - p, -1) with p/q between the
+        # two largest roots is split at the largest embedding only
+        (_lo, hi), (lo, _hi) = SEPTIC.embeddings()[-2:]
+        r = (hi + lo) / 2
+        start = time.perf_counter()
+        m = quaternion_trace_zero(SEPTIC, [-r.numerator, r.denominator] + [0] * 5,
+                                  [-1] + [0] * 6, standard_order(7))
+        assert time.perf_counter() - start < 1.0
+        assert signature_profile(m) == (Signature(3, 0),) * 6 + (Signature(1, 2),)
 
     def test_identities(self):
         alg = QuaternionAlgebra(SQRT2, SQRT2.element((-1, 0)), SQRT2.element((1, 1)))
