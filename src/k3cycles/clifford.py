@@ -73,7 +73,7 @@ class CliffordElement:
             rows, cols = ([t for t in rows if bin(t).count("1") & 1 == q]
                           for q in (0, p is GradedParity.ODD))
         table = _table(self.ambient.gram)
-        images = [_combine((c, table.word(m, _bits(t))) for m, c in self.coeffs) for t in cols]
+        images = [table.apply(self._map, _bits(t)) for t in cols]
         sol = linalg.solve([[img.get(s, 0) for img in images] for s in rows],
                            [int(s == 0) for s in rows])
         if sol is None:
@@ -195,15 +195,17 @@ class _GenTable:
 
     def word(self, mask: int, gens: Iterable[int]) -> dict[int, int]:
         """Normal form of e_mask * e_{g_1} * e_{g_2} * ... for the given g_i."""
-        terms = {mask: 1}
+        return self.apply({mask: 1}, gens)
+
+    def apply(self, x: Mapping[int, object], gens: Iterable[int]) -> Mapping[int, object]:
+        """x * e_{g_1} * e_{g_2} * ..., one generator step on all of x at a time."""
         for j in gens:
-            terms = _combine((c, self.gen(m, j)) for m, c in terms.items())
-        return terms
+            x = _combine((c, self.gen(m, j)) for m, c in x.items())
+        return x
 
     def product(self, x: Mapping[int, object], y: Mapping[int, object]) -> dict[int, object]:
         """x * y for mask -> coefficient mappings (ints stay ints)."""
-        return _combine((cx * cy, self.word(mx, _bits(my)))
-                        for mx, cx in x.items() for my, cy in y.items())
+        return _combine((cy, self.apply(x, _bits(my))) for my, cy in y.items())
 
     def tau(self, mask: int) -> int:
         """Matrix trace of left multiplication by the monomial e_mask.

@@ -7,7 +7,7 @@ statement below is invariant under that positive rescaling, so the whole
 certification runs in exact rational arithmetic.  The polarization form is
 <x, y> = trace(a x y^iota) for a = a1 a2 built from an orthogonal basis of
 the negative definite rank-2 summand.  ks_report builds it and <x j, y> on
-the monomial basis as integer products L.P.R^T, scaled back only at the end.
+the monomial basis from their nonzero entries only, in integers.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .lattice import Lattice, Vector, as_vector, signature
 
 Splitting = tuple[Sequence[Sequence], Sequence[Sequence]]
 
-# On a 2-core x86 VM ks_report takes 1.0-1.6 s at rank 9; at rank 10 it
-# takes 4.2 s (diagonal), 6.6 s (A8 + two <-2>), 22 s (sheared), ~100 MB.
+# On a 2-core x86 VM ks_report takes 0.1-0.7 s at rank 9; at rank 10 it takes
+# 0.2 s (diagonal), 1.3-1.5 s (A8 + two <-2>), 5.5-8.4 s (sheared), ~100 MB.
 KS_RANK_CAP = 10
 
 
@@ -183,10 +183,12 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     Builds the 2^rank x 2^rank matrices of <x,y> = trace(a x y^iota) and
     <x j, y> over the monomial basis, then checks exactly: the first is
     antisymmetric, the second symmetric with definite inertia (up to the
-    global sign fixed by orientation).  Both are L.P.R^T in ints: row s of L
-    is a e_s or a e_s j (a, j scaled to integers), column t of P.R^T is
-    tau(e_u rev(e_t)), which is column t - max(t) times one sparse e_max(t),
-    so a depth-first walk over t holds at most rank + 1 columns.
+    global sign fixed by orientation).  Entry (s, t) sums over u the
+    coefficient of e_u in a e_s (or a e_s j) times tau(e_u rev(e_t)); a
+    depth-first walk over t pushes that column, sparse, through transposed
+    tables into both forms and into the column of t + 2^i.  a and j are
+    even, so the inertia sums over the two parity blocks, once no entry is
+    found to join them.
     """
     sig = signature(lat)
     if sig.neg != 2:
@@ -203,33 +205,47 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     a, j = ({m: int(c * d) for m, c in x.coeffs} for x in (a_el, j_el))
     table = clifford._table(lat.gram)
     n = 1 << lat.rank
-    by_parity = [[m for m in range(n) if bin(m).count("1") & 1 == p] for p in (0, 1)]
-    ae = [table.product(a, {s: 1}) for s in range(n)]
-    left = [[(s, ae[s], table.product(ae[s], j)) for s in masks] for masks in by_parity]
-    alt = [[0] * n for _ in range(n)]
-    sym = [[0] * n for _ in range(n)]
 
-    def walk(t: int, odd: int, col: list[int]) -> None:
-        # col[u] = tau(e_u rev(e_t)) vanishes unless u has the parity of t;
-        # as a and j are even, so do rows s of the other parity.
-        for s, x, y in left[odd]:
-            alt[s][t] = sum(c * col[u] for u, c in x.items())
-            sym[s][t] = sum(c * col[u] for u, c in y.items())
-        for i in range(t.bit_length(), lat.rank):
-            nxt = [0] * n
-            for u in by_parity[1 - odd]:
-                nxt[u] = sum(c * col[m] for m, c in table.gen(u, i).items())
-            walk(t | 1 << i, 1 - odd, nxt)
+    def transposed(maps) -> list[list]:  # out[u]: (s, c) for c e_u in maps[s]
+        out: list[list] = [[] for _ in range(n)]
+        for s, terms in enumerate(maps):
+            for u, c in terms.items():
+                out[u].append((s, c))
+        return out
 
-    walk(0, 0, [table.tau(m) for m in range(n)])
-    alternating_ok = all(alt[s][t] == -alt[t][s] for s in range(n) for t in range(s, n))
-    symmetric_ok = all(sym[s][t] == sym[t][s] for s in range(n) for t in range(s + 1, n))
-    inertia = linalg.inertia(sym)
+    def push(col: dict, tr: list) -> dict:
+        acc: dict = {}
+        for m, v in col.items():
+            for u, c in tr[m]:
+                acc[u] = acc.get(u, 0) + c * v
+        return {u: x for u, x in acc.items() if x}
+
+    xs = [table.product(a, {s: 1}) for s in range(n)]
+    ae, aej = transposed(xs), transposed(table.product(x, j) for x in xs)
+    gens = [transposed(table.gen(u, i) for u in range(n)) for i in range(lat.rank)]
+    alt, sym = {}, {}
+    stack = [(0, {m: x for m in range(n) if (x := table.tau(m))})]
+    while stack:
+        t, col = stack.pop()
+        alt[t], sym[t] = push(col, ae), push(col, aej)
+        stack += [(t | 1 << i, push(col, gens[i])) for i in range(t.bit_length(), lat.rank)]
+    alternating_ok = all(alt[s].get(t) == -x for t, c in alt.items() for s, x in c.items())
+    symmetric_ok = all(sym[s].get(t) == x for t, c in sym.items() for s, x in c.items())
+    # masks 2k and 2k + 1 differ in parity, so k indexes both blocks
     zero = Fraction(0)
+    gram = [[zero] * n for _ in range(n)]
+    blocks = [[[0] * (n // 2) for _ in range(n // 2)] for _ in (0, 1)]
+    for t, c in sym.items():
+        for s, x in c.items():
+            if bin(s ^ t).count("1") & 1:
+                raise ValueError("the symmetric form joins even and odd monomials")
+            blocks[bin(t).count("1") & 1][s >> 1][t >> 1] = x
+            gram[s][t] = Fraction(x, d * d)
+    inertia = tuple(map(sum, zip(*map(linalg.inertia, blocks))))
     return KSReport(
         j=j_el,
         j_square_scalar=j_square,
-        riemann_gram=tuple(tuple(Fraction(x, d * d) if x else zero for x in r) for r in sym),
+        riemann_gram=tuple(map(tuple, gram)),
         alternating_ok=alternating_ok,
         symmetric_ok=symmetric_ok,
         definite=inertia in ((n, 0, 0), (0, n, 0)),

@@ -68,6 +68,7 @@ def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     p, sign = 1, 1
+    level = [1] * rows  # row r is m[r] * p / level[r]: rescaled only when used
     for col in range(cols):
         rk = len(pivots)
         if rk == rows:
@@ -77,19 +78,20 @@ def _gauss_jordan(m: IntMatrix) -> tuple[list[int], int, int]:
             continue
         if piv != rk:
             m[rk], m[piv] = m[piv], m[rk]
+            level[rk], level[piv] = level[piv], level[rk]
             sign = -sign
+        if level[rk] != p:
+            m[rk] = [x * p // level[rk] for x in m[rk]]
         top = m[rk]
-        q = top[col]
+        q = level[rk] = top[col]
         for r, row in enumerate(m):
-            if r == rk:
-                continue
-            f = row[col]
-            if f:
-                m[r] = [(q * x - f * y) // p for x, y in zip(row, top)]
-            elif q != p:
-                m[r] = [q * x // p for x in row]
+            f, lv = row[col], level[r]
+            if f and r != rk:  # (q * row * p / lv - f * p / lv * top) / p
+                m[r] = [(q * x - f * y) // lv for x, y in zip(row, top)]
+                level[r] = q
         pivots.append(col)
         p = q
+    m[:] = [row if lv == p else [x * p // lv for x in row] for row, lv in zip(m, level)]
     return pivots, p, sign
 
 

@@ -1,5 +1,6 @@
 """Period planes, polarizers, and torus certification reports."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -257,6 +258,46 @@ def test_report_matches_entrywise_oracle(seed, rank):
         sym[s][t] == sym[t][s] for s in range(n) for t in range(n))
     assert report.alternating_ok and report.symmetric_ok and report.definite
     assert report.inertia == oracles.inertia(sym)
+
+
+# Beyond the entrywise oracle: a sheared and an A6-plane draw at rank 8.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_inertia_matches_full_form_at_rank_8(seed):
+    lat, splitting, plane = ks_draw(seed, 8)
+    report = ks_report(lat, splitting, plane)
+    scale = math.lcm(*(x.denominator for row in report.riemann_gram for x in row))
+    full = [[int(x * scale) for x in row] for row in report.riemann_gram]
+    assert report.inertia == linalg.inertia(full)
+    assert report.alternating_ok and report.symmetric_ok and report.definite
+
+
+def test_rank_9_a7_plane_is_definite():
+    lat, splitting, plane = ks_draw(2, 9)
+    assert lat.gram[:7] == tuple(tuple(row) for row in root_plane(7)[:7])
+    report = ks_report(lat, splitting, plane)
+    assert report.inertia in ((512, 0, 0), (0, 512, 0))
+    assert report.alternating_ok and report.symmetric_ok and report.definite
+
+
+def _patched_polarizer(monkeypatch, change):
+    real = kuga_satake.polarizer
+    monkeypatch.setattr(kuga_satake, "polarizer", lambda lat, sp: change(real(lat, sp)))
+
+
+def test_non_symmetric_form_raises_like_inertia(monkeypatch):
+    # a + 1 is not involution-antisymmetric, so <x j, y> is not symmetric
+    _patched_polarizer(monkeypatch, lambda a: a + clifford.scalar_element(a.ambient, 1))
+    lat, splitting, plane = ks_draw(6, 5)
+    with pytest.raises(ValueError, match="inertia requires a symmetric matrix"):
+        ks_report(lat, splitting, plane)
+
+
+def test_parity_split_is_checked(monkeypatch):
+    # an odd polarizer joins even and odd monomials, so the blocks do not split
+    _patched_polarizer(monkeypatch, lambda a: clifford.basis_element(a.ambient, 1))
+    lat, splitting, plane = ks_draw(4, 4)
+    with pytest.raises(ValueError, match="joins even and odd monomials"):
+        ks_report(lat, splitting, plane)
 
 
 class TestSpecialEndo:

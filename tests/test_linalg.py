@@ -308,6 +308,45 @@ def test_smith_seeded_16x16_is_fast():
     _check_smith(a)
 
 
+def _lagging_system(seed):
+    """A square, wide or tall matrix with 8-20 rows that is dense, sparse or
+    a staircase (integral or rational), and a right-hand side.  In a
+    staircase the first k >= 3 columns are zero below the first `top` rows,
+    which are dense, so the lower rows skip k pivots before they are
+    touched; the rows are then shuffled."""
+    rng = random.Random(seed)
+    rows = rng.randint(8, 20)
+    cols = (rows, rng.randint(rows + 1, 24), rng.randint(4, rows - 1))[seed % 3]
+    rational = rng.random() < 0.5
+    shape = ("dense", "sparse", "staircase")[seed // 3 % 3]
+    density = 0.25 if shape == "sparse" else 1
+    a = [[_entry(rng, rational) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if shape == "staircase":
+        k = rng.randint(3, min(rows, cols) - 1)
+        top = rng.randint(k, rows - 1)
+        for row in a[top:]:
+            row[:k] = [0] * k
+        rng.shuffle(a)
+    return a, [_entry(rng, rational) for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_gauss_jordan_matches_fraction_oracle(seed):
+    a, b = _lagging_system(seed)
+    m = linalg._integer_rows(a)[0]
+    pivots, p, sign = linalg._gauss_jordan(m)
+    ref, ref_pivots, ref_det = oracles.gauss_jordan(a)
+    assert pivots == ref_pivots
+    assert [[Fraction(x, p) for x in row] for row in m[:len(pivots)]] == ref[:len(pivots)]
+    assert all(not any(row) for row in m[len(pivots):])
+    assert linalg.rank(a) == oracles.rank(a)
+    assert linalg.solve(a, b) == oracles.solve(a, b)
+    if len(a) == len(a[0]):
+        assert linalg.det(a) == oracles.det(a) == (ref_det if len(pivots) == len(a) else 0)
+        assert linalg.inverse(a) == oracles.inverse(a)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seeds)
 def test_general_core_matches_oracle(seed):
