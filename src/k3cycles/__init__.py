@@ -11,7 +11,6 @@ from .clifford import (
     CliffordElement,
     GradedParity,
     basis_element,
-    delta,
     format_element,
     invert,
     is_gspin,
@@ -33,17 +32,14 @@ from .enumeration import (
 from .errors import K3CyclesError
 from .gauss import GaussSumValue, MilgramResult, gauss_sum, milgram_invariant
 from .kuga_satake import (
-    CommutationProfile,
     KSReport,
     PeriodPlane,
-    commutation_profile,
     default_splitting,
     j_element,
     ks_report,
     orthogonalize_plane,
     period_plane,
     polarizer,
-    riemann_form,
     special_endo_lattice,
     special_endo_test,
 )

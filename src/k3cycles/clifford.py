@@ -264,14 +264,6 @@ def parity(x: CliffordElement) -> GradedParity:
     return GradedParity.EVEN
 
 
-def delta(lat: Lattice) -> CliffordElement:
-    """The ordered product e_1 e_2 ... e_rank of the basis vectors.
-
-    In the sorted-subset normal form this is exactly the top monomial.
-    """
-    return element(lat, {(1 << lat.rank) - 1: Fraction(1)})
-
-
 def scalar_part(x: CliffordElement) -> Fraction:
     return x.coefficient(0)
 

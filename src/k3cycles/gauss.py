@@ -5,18 +5,22 @@ modulo an even integer, and exponentiate each distinct phase once; the only
 float error is the rounding of those exponentials and of the final sum.
 
 `gauss_sum` walks x in (Z/c)^n in `itertools.product` order.  For each
-prefix x_1..x_{n-1} it carries a*Q mod 2c and the linear coefficient of
-x_n mod 2c, and the c phases of the last coordinate are memoized per such
-pair.  The terms are added by a Kahan sum in that same order, which fixes
-every bit of the result.
+prefix x_1..x_{n-2} it carries a*Q mod 2c and the linear coefficients of
+x_{n-1} and x_n mod 2c.  Per such triple it memoizes the c blocks of the
+last coordinate, one per x_{n-1}: references to blocks memoized per pair
+(Q, coefficient of x_n), never copies.  That memo stops growing at
+MEMO_REFERENCE_CAP references, which only large c reaches (rank 4 near the
+residue cap); triples past it rebuild their c references on each visit.
+The terms are added by a Kahan sum in product order, which fixes every bit
+of the result.
 
 `milgram_invariant` scales the discriminant-group generators by their
 common denominator den to integer vectors, so the norm of every coset is an
 integer mod 2*den^2 (well defined because the lattice is even).  It counts
-the cosets per phase from the same prefix walk, exponentiates each phase
-once and feeds every value to math.fsum as often as its phase occurs.
-fsum rounds the exact sum once, so the total does not depend on the order
-of the cosets.
+the cosets per phase from the same prefix walk, folding in the last two
+invariant factors one at a time, exponentiates each phase once and feeds
+every value to math.fsum as often as its phase occurs.  fsum rounds the
+exact sum once, so the total does not depend on the order of the cosets.
 """
 
 from __future__ import annotations
@@ -35,26 +39,27 @@ from .errors import (
 from .lattice import Lattice, discriminant_group, signature
 
 RESIDUE_TERM_CAP = 10_000_000
+MEMO_REFERENCE_CAP = 1 << 14  # about 0.2 MB of prefix memo at any c
 MILGRAM_TOLERANCE = 1e-9
 
 
 def _prefix_phases(diag, cross, sizes, mod):
-    """Yield (Q(x) mod `mod`, l(x) mod `mod`) for every prefix x in
-    product(*(range(s) for s in sizes[:-1])), in itertools.product order.
+    """Yield (Q(x), l(x)_{n-2}, l(x)_{n-1}), each mod `mod`, for every prefix
+    x in product(*(range(s) for s in sizes[:-2])), in itertools.product order.
 
     Q(x) = sum_i diag[i]*x_i^2 + sum_{i<j} cross[i][j]*x_i*x_j with the
-    last coordinate zero, and l(x) = sum_i cross[i][last]*x_i is the
-    coefficient of the last coordinate.  An odometer recomputes only the
-    levels below the coordinate that moved.
+    last two coordinates zero, and l(x)_j = sum_i cross[i][j]*x_i is the
+    coefficient of x_j.  An odometer recomputes only the levels below the
+    coordinate that moved.
     """
-    m = len(sizes) - 1
+    m = len(sizes) - 2
     x = [0] * m
     q = [0] * (m + 1)  # q[k]: Q of the coordinates before k
     # lin[k][j], j >= k: coefficient of x_j from the coordinates before k;
     # rows are replaced, never mutated, so levels may share one list
-    lin = [[0] * (m + 1)] * (m + 1)
+    lin = [[0] * (m + 2)] * (m + 1)
     while True:
-        yield q[m], lin[m][m]
+        yield q[m], lin[m][m], lin[m][m + 1]
         k = m - 1
         while k >= 0 and x[k] == sizes[k] - 1:
             x[k] = 0
@@ -65,7 +70,7 @@ def _prefix_phases(diag, cross, sizes, mod):
         src, row = lin[k], cross[k]
         qk = (q[k] + src[k] * t + diag[k] * t * t) % mod
         nxt = src[:]
-        for j in range(k + 1, m + 1):
+        for j in range(k + 1, m + 2):
             nxt[j] = (src[j] + row[j] * t) % mod
         for level in range(k + 1, m + 1):
             q[level] = qk
@@ -79,15 +84,16 @@ def _fsum_repeated(pairs) -> float:
         itertools.repeat(x, cnt) for x, cnt in pairs))
 
 
-def _phase_form(gram, mod):
+def _phase_form(gram, sizes, mod):
     """Diagonal and doubled off-diagonal coefficients of x -> x^T gram x
-    mod `mod`; the rank-0 form becomes the zero form on Z/1."""
-    n = len(gram)
-    if n == 0:
-        return [0], [[0]]
+    mod `mod`, and the coordinate sizes.  Ranks below 2 get leading
+    coordinates of size 1, which change neither the terms nor their order."""
+    pad = max(0, 2 - len(gram))
+    n = pad + len(gram)
+    gram = [[0] * n] * pad + [[0] * pad + list(row) for row in gram]
     diag = [gram[i][i] % mod for i in range(n)]
     cross = [[2 * gram[i][j] % mod for j in range(n)] for i in range(n)]
-    return diag, cross
+    return diag, cross, [1] * pad + list(sizes)
 
 
 @dataclass(frozen=True)
@@ -118,18 +124,28 @@ def gauss_sum(lat: Lattice, a: int, c: int) -> GaussSumValue:
     for phase in range(two_c):
         z = cmath.exp(1j * math.pi * phase / c)
         table.append((z.real, z.imag))
-    diag, cross = _phase_form([[a * x for x in row] for row in lat.gram], two_c)
-    sizes = [c] * n or [1]
-    last, d = sizes[-1], diag[-1]
-    memo = {}
+    diag, cross, sizes = _phase_form([[a * x for x in row] for row in lat.gram],
+                                     [c] * n, two_c)
+    (s1, last), (d1, d), e = sizes[-2:], diag[-2:], cross[-2][-1]
+    blocks = {}  # (Q, coefficient of x_n) -> the c terms of the last coordinate
+    memo = {}  # prefix key -> the blocks for x_{n-1} = 0..s1-1, by reference
     re = im = 0.0
     cr = ci = 0.0  # Kahan compensation
     for key in _prefix_phases(diag, cross, sizes, two_c):
         zs = memo.get(key)
         if zs is None:
-            q, l = key
-            zs = memo[key] = [table[(q + l * y + d * y * y) % two_c] for y in range(last)]
-        for zr, zi in zs:
+            q, l1, l2 = key
+            zs = []
+            for x in range(s1):
+                ql = ((q + l1 * x + d1 * x * x) % two_c, (l2 + e * x) % two_c)
+                b = blocks.get(ql)
+                if b is None:
+                    b = blocks[ql] = [table[(ql[0] + ql[1] * y + d * y * y) % two_c]
+                                      for y in range(last)]
+                zs.append(b)
+            if len(memo) * s1 < MEMO_REFERENCE_CAP:
+                memo[key] = zs
+        for zr, zi in itertools.chain.from_iterable(zs):
             y = zr - cr
             t = re + y
             cr = (t - re) - y
@@ -165,12 +181,16 @@ def milgram_invariant(lat: Lattice) -> MilgramResult:
     images = [[sum(r * y for r, y in zip(row, g)) for row in lat.gram] for g in gens]
     den2 = den * den
     mod = 2 * den2
-    diag, cross = _phase_form(
-        [[sum(u * v for u, v in zip(g, h)) for h in images] for g in gens], mod)
-    sizes = disc.invariant_factors or (1,)
-    last, d = sizes[-1], diag[-1]
+    diag, cross, sizes = _phase_form(
+        [[sum(u * v for u, v in zip(g, h)) for h in images] for g in gens],
+        disc.invariant_factors, mod)
+    (s1, last), (d1, d), e = sizes[-2:], diag[-2:], cross[-2][-1]
+    pairs = Counter()
+    for (q0, l1, l2), cnt in Counter(_prefix_phases(diag, cross, sizes, mod)).items():
+        for x in range(s1):
+            pairs[(q0 + l1 * x + d1 * x * x) % mod, (l2 + e * x) % mod] += cnt
     hist = Counter()
-    for (q0, l), cnt in Counter(_prefix_phases(diag, cross, sizes, mod)).items():
+    for (q0, l), cnt in pairs.items():
         for y in range(last):
             hist[(q0 + l * y + d * y * y) % mod] += cnt
     terms = [(cmath.exp(1j * math.pi * (phase / den2)), cnt)

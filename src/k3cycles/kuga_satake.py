@@ -54,12 +54,6 @@ class PeriodPlane:
 
 
 @dataclass(frozen=True)
-class CommutationProfile:
-    delta_commutes: bool
-    parity_rule_ok: bool
-
-
-@dataclass(frozen=True)
 class KSReport:
     """Exact certification data for the torus attached to a period plane."""
 
@@ -164,16 +158,6 @@ def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
         )
     return clifford.multiply(
         clifford.vector_element(lat, a1), clifford.vector_element(lat, a2)
-    )
-
-
-def riemann_form(
-    lat: Lattice, splitting: Splitting, x: CliffordElement, y: CliffordElement
-) -> Fraction:
-    """trace(a x y^iota), bilinear and alternating, Z-valued on C(L)."""
-    a = polarizer(lat, splitting)
-    return clifford.trace(
-        clifford.multiply(clifford.multiply(a, x), clifford.main_involution(y))
     )
 
 
@@ -304,20 +288,3 @@ def default_splitting(lat: Lattice) -> Splitting:
             "a default splitting needs exactly two negative directions"
         )
     return (plus, minus)
-
-
-def commutation_profile(lat: Lattice, x: Sequence) -> CommutationProfile:
-    """How right multiplication by a lattice vector sits against delta.
-
-    delta_commutes is the literal check x delta = delta x.  parity_rule_ok
-    asks for the rank-parity prediction: commute for odd rank, anticommute
-    for even (reliable for orthogonal Gram matrices).  Right multiplication
-    by x is self-adjoint for every form trace(a y w^iota), as
-    (w x)^iota = x w^iota for a vector x, so that needs no check.
-    """
-    d = clifford.delta(lat)
-    xe = clifford.vector_element(lat, x)
-    xd = clifford.multiply(xe, d)
-    dx = clifford.multiply(d, xe)
-    delta_commutes = xd == dx
-    return CommutationProfile(delta_commutes, delta_commutes if lat.rank % 2 else xd == -dx)

@@ -12,7 +12,6 @@ from k3cycles import clifford
 from k3cycles.clifford import (
     GradedParity,
     basis_element,
-    delta,
     element,
     format_element,
     invert,
@@ -140,7 +139,7 @@ class TestGrading:
     def test_delta_squares_to_scalar_on_orthogonal(self):
         # (e1 e2 e3)^2 = (-1)^(3*2/2) * d1 d2 d3 = -(2 * -2 * 2)
         lat = MIXED
-        d = delta(lat)
+        d = element(lat, {(1 << lat.rank) - 1: 1})
         sq = multiply(d, d)
         assert sq == scalar_element(lat, Fraction(8))
 
@@ -308,8 +307,7 @@ FIXED_GRAMS = (
 
 def test_right_vector_multiplication_is_self_adjoint():
     # (w x)^iota = x w^iota for a vector x, so every form trace(a y w^iota)
-    # has trace(a (y x) w^iota) = trace(a y (w x)^iota); commutation_profile
-    # relies on this instead of checking it
+    # has trace(a (y x) w^iota) = trace(a y (w x)^iota)
     rng = random.Random(31)
     for gram in FIXED_GRAMS:
         lat = Lattice(gram)

@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -121,6 +121,10 @@ def gauss_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(gauss_inputs())
+@example((Lattice(()), 3, 5))
+@example((Lattice(((-4,),)), 1, 7))
+@example((Lattice(((2, -3), (-3, 0))), 5, 6))
+@example((Lattice(((2, 0, 1), (0, 0, 0), (1, 0, -6))), -2, 7))
 def test_gauss_sum_matches_term_oracle_bitwise(case):
     lat, a, c = case
     got = gauss_sum(lat, a, c)
@@ -142,6 +146,38 @@ def _sheared(gram, moves):
         for row in g:
             row[i] += k * row[j]
     return tuple(map(tuple, g))
+
+
+def _sheared_diagonal(*ds):
+    """diag(ds) under the row shears i += (-1)^i (i + 1), cyclically."""
+    n = len(ds)
+    diagonal = [[d * (i == j) for j in range(n)] for i, d in enumerate(ds)]
+    return Lattice(_sheared(diagonal, [(i, i + 1, (-1) ** i) for i in range(n)]))
+
+
+# The sizes of the benchmark's gauss jobs: sheared even diagonal Grams of
+# rank 4-10 at 6e4 to 1.6e5 residues, and E8.
+@pytest.mark.parametrize("lat, a, c", [
+    (_sheared_diagonal(10, -2, 2, 2), 1, 20),
+    (_sheared_diagonal(2, -2, 10, 2, -2, 2), 2, 7),
+    (_sheared_diagonal(2, 2, -6, 2, -2, 2, 2, -2), 1, 4),
+    (_sheared_diagonal(-2, 2, 2, -2, 2, 2, -2, 2, 2, 2), 2, 3),
+    (e8_lattice(), 3, 4),
+], ids=["rank4", "rank6", "rank8", "rank10", "E8"])
+def test_gauss_sum_matches_term_oracle_at_benchmark_sizes(lat, a, c):
+    got = gauss_sum(lat, a, c)
+    assert (repr(got.value), repr(got.normalization)) == tuple(
+        map(repr, oracles.gauss_sum_terms(lat, a, c)))
+
+
+def test_gauss_sum_keeps_its_bits_past_the_memo_cap(monkeypatch):
+    # only large c fills the prefix memo; past the cap, prefixes rebuild
+    # their block references and must add the same terms in the same order
+    monkeypatch.setattr(gauss, "MEMO_REFERENCE_CAP", 3 * 5)
+    lat = _sheared_diagonal(-4, -2, 2, 2, 6)
+    for a in (1, 3):
+        got = gauss_sum(lat, a, 5)
+        assert repr(got.value) == repr(oracles.gauss_sum_terms(lat, a, 5)[0])
 
 
 @st.composite
@@ -211,3 +247,24 @@ def test_milgram_runs_at_the_cap(monkeypatch):
     monkeypatch.setattr(lattice, "DISC_ENUMERATION_CAP", 4 * 2500 - 1)
     with pytest.raises(EnumerationLimitExceeded):
         milgram_invariant(lat)
+
+
+def test_gauss_refuses_above_the_residue_cap_before_walking(monkeypatch):
+    def no_enumeration(*_args):
+        raise AssertionError("residues enumerated above the cap")
+
+    monkeypatch.setattr(gauss, "_prefix_phases", no_enumeration)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitExceeded):
+        gauss_sum(e8_lattice(), 1, 8)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_gauss_runs_at_the_residue_cap(monkeypatch):
+    # c^n exactly at the cap is summed; one residue more refuses
+    lat = Lattice(((2, 1, 0), (1, 2, 0), (0, 0, -2)))
+    monkeypatch.setattr(gauss, "RESIDUE_TERM_CAP", 5 ** 3)
+    assert repr(gauss_sum(lat, 1, 5).value) == repr(oracles.gauss_sum_terms(lat, 1, 5)[0])
+    monkeypatch.setattr(gauss, "RESIDUE_TERM_CAP", 5 ** 3 - 1)
+    with pytest.raises(EnumerationLimitExceeded):
+        gauss_sum(lat, 1, 5)

@@ -17,14 +17,12 @@ from k3cycles.errors import (
     UnsupportedSignature,
 )
 from k3cycles.kuga_satake import (
-    commutation_profile,
     default_splitting,
     j_element,
     ks_report,
     orthogonalize_plane,
     period_plane,
     polarizer,
-    riemann_form,
     special_endo_basis,
     special_endo_lattice,
     special_endo_test,
@@ -107,26 +105,6 @@ class TestPolarizer:
     def test_unsupported_signature_for_default(self):
         with pytest.raises(UnsupportedSignature):
             default_splitting(Lattice(((2,),)))
-
-
-class TestRiemannForm:
-    def test_alternating_and_integral(self):
-        lat = ONE_TWO
-        splitting = default_splitting(lat)
-        rng = random.Random(3)
-        size = 1 << lat.rank
-        for _ in range(15):
-            x = clifford.element(
-                lat, {m: rng.randint(-2, 2) for m in range(size)}
-            )
-            y = clifford.element(
-                lat, {m: rng.randint(-2, 2) for m in range(size)}
-            )
-            fxy = riemann_form(lat, splitting, x, y)
-            fyx = riemann_form(lat, splitting, y, x)
-            assert fxy == -fyx
-            assert fxy.denominator == 1
-            assert riemann_form(lat, splitting, x, x) == 0
 
 
 class TestReport:
@@ -334,24 +312,3 @@ class TestSpecialEndo:
         z = period_plane(lat, (0, 1, 1), (0, 1, -1))
         endo = special_endo_lattice(lat, z)
         assert endo.gram == ((2,),)
-
-
-class TestCommutation:
-    def test_profile_on_orthogonal_lattices(self):
-        for lat in (ONE_TWO, THREE_TWO):
-            prof = commutation_profile(lat, tuple([1] + [0] * (lat.rank - 1)))
-            assert prof.delta_commutes == (lat.rank % 2 == 1)
-            assert prof.parity_rule_ok
-
-    def test_profile_even_rank(self):
-        lat = Lattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
-        prof = commutation_profile(lat, (1, 0, 0, 0))
-        assert prof.parity_rule_ok
-        assert not prof.delta_commutes
-
-    def test_profile_honest_on_skew_gram(self):
-        # with a non-orthogonal Gram the parity heuristic may simply fail,
-        # and the profile reports that instead of papering over it
-        prof = commutation_profile(TWO_TWO, (1, 0, 0, 0))
-        assert not prof.delta_commutes
-        assert not prof.parity_rule_ok
