@@ -1,25 +1,26 @@
 """Exact Clifford algebra of an integral lattice.
 
 Elements live in the 2^rank monomial basis e_S = e_{i_1}...e_{i_k} indexed
-by sorted subsets S of the basis (encoded as bitmasks), with rational
-coefficients.  Multiplication is generated by v.w + w.v = 2(v,w) and
-v.v = (v,v), reduced to normal form one generator at a time.  An integral
-Gram matrix gives integer structure constants, so the reduction table and
-the monomial traces are plain ints, memoized per Gram matrix; Fraction
-appears only in element coefficients, traces of elements and the solve
-inside invert (one 2^(rank-1) parity block for an even or odd element).
+by sorted subsets S of the basis (bitmasks), as integer numerators over one
+positive denominator.  Multiplication is generated by v.w + w.v = 2(v,w)
+and v.v = (v,v), reduced to normal form one generator at a time.  An
+integral Gram gives integer structure constants, memoized per Gram, so
+products, involutions, sums and monomial traces run on ints; Fraction
+appears only at the edges: element(), the coeffs view, element traces and
+the solve inside invert (one 2^(rank-1) block for an even or odd element).
 Everything is exact: no floating point enters this module.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import AmbientMismatch, NotInvertible, RankLimitExceeded
@@ -42,32 +43,36 @@ class GradedParity(Enum):
 class CliffordElement:
     """A finite rational combination of basis monomials of C(L).
 
-    coeffs maps bitmasks to nonzero rationals; bit i set means the basis
-    vector e_{i+1} occurs in the monomial.  Instances are immutable and
-    always normalized (zero coefficients dropped, masks sorted).
+    nums holds (mask, nonzero int) pairs, masks ascending (bit i set: e_{i+1}
+    occurs), over den > 0 with gcd(den, *nums) == 1.  The form is canonical,
+    so == and hash compare values; coeffs is the (mask, Fraction) view.
     """
 
     ambient: Lattice
-    coeffs: tuple[tuple[int, Fraction], ...]
+    nums: tuple[tuple[int, int], ...]
+    den: int
 
     @cached_property
-    def _map(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
+    def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((m, Fraction(c, self.den)) for m, c in self.nums)
+
+    @cached_property
+    def _map(self) -> dict[int, int]:
+        return dict(self.nums)
 
     @cached_property
     def _inverse(self) -> CliffordElement:
-        """Solve x y = 1 by left multiplication.  x of parity p maps parity q to
-        q + p, so an even or odd x solves only columns of parity p against the
-        even rows: a solution is a right, hence two-sided, inverse."""
+        """Solve N y = den for x = N/den by left multiplication.  x of parity p
+        maps parity q to q + p, so an even or odd x solves only columns of
+        parity p against the even rows: a right, hence two-sided, inverse."""
+        if all(m == 0 for m, _ in self.nums):  # a scalar, zero included: no solve
+            if not self.nums:
+                raise NotInvertible("the zero element has no inverse")
+            return scalar_element(self.ambient, 1 / self.coefficient(0))
         rank = self.ambient.rank
         if rank > INVERSION_RANK_CAP:
             raise RankLimitExceeded(f"inversion solves a dense 2^{rank} system; rank "
                                     f"is capped at {INVERSION_RANK_CAP}")
-        c = as_scalar(self)
-        if c is not None:
-            if c == 0:
-                raise NotInvertible("the zero element has no inverse")
-            return scalar_element(self.ambient, 1 / c)
         rows = cols = range(1 << rank)
         if (p := parity(self)) is not GradedParity.MIXED:
             rows, cols = ([t for t in rows if bin(t).count("1") & 1 == q]
@@ -75,27 +80,28 @@ class CliffordElement:
         table = _table(self.ambient.gram)
         images = [table.apply(self._map, _bits(t)) for t in cols]
         sol = linalg.solve([[img.get(s, 0) for img in images] for s in rows],
-                           [int(s == 0) for s in rows])
+                           [self.den * (s == 0) for s in rows])
         if sol is None:
             raise NotInvertible("left multiplication by this element is singular")
         return element(self.ambient, dict(zip(cols, sol)))
 
     def coefficient(self, mask: int) -> Fraction:
-        return self._map.get(mask, Fraction(0))
+        return Fraction(self._map.get(mask, 0), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other: CliffordElement) -> CliffordElement:
         _same_ambient(self, other)
-        return element(self.ambient, _combine(((1, self._map), (1, other._map))))
+        d = math.lcm(self.den, other.den)
+        return _reduced(self.ambient, _combine((d // x.den, x._map) for x in (self, other)), d)
 
     def __sub__(self, other: CliffordElement) -> CliffordElement:
         return self + (-other)
 
     def __neg__(self) -> CliffordElement:
-        return CliffordElement(self.ambient, tuple((m, -c) for m, c in self.coeffs))
+        return CliffordElement(self.ambient, tuple((m, -c) for m, c in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
@@ -107,40 +113,42 @@ class CliffordElement:
 
     def scale(self, c) -> CliffordElement:
         c = Fraction(c)
-        if c == 0:
-            return CliffordElement(self.ambient, ())
-        return CliffordElement(self.ambient, tuple((m, c * v) for m, v in self.coeffs))
+        return _reduced(self.ambient, {m: c.numerator * v for m, v in self.nums},
+                        c.denominator * self.den)
+
+
+def _reduced(lat: Lattice, nums: Mapping[int, int], den: int) -> CliffordElement:
+    """The element sum(nums[m] e_m) / den for den > 0, in lowest terms."""
+    g = math.gcd(den, *nums.values())
+    return CliffordElement(lat, tuple(sorted((m, c // g) for m, c in nums.items() if c)),
+                           den // g)
 
 
 def element(lat: Lattice, coeffs: Mapping[int, object]) -> CliffordElement:
     """Build a normalized element from a mask -> rational mapping."""
-    size = 1 << lat.rank
-    acc: dict[int, Fraction] = {}
-    for mask, c in coeffs.items():
-        if not 0 <= mask < size:
+    for mask in coeffs:
+        if not 0 <= mask < 1 << lat.rank:
             raise ValueError(f"monomial mask {mask} out of range for rank {lat.rank}")
-        c = Fraction(c)
-        if c != 0:
-            acc[mask] = c
-    return CliffordElement(lat, tuple(sorted(acc.items())))
+    (nums,), (den,) = linalg._integer_rows([[Fraction(c) for c in coeffs.values()]])
+    return _reduced(lat, dict(zip(coeffs, nums)), den)
 
 
 def scalar_element(lat: Lattice, c) -> CliffordElement:
-    return element(lat, {0: Fraction(c)})
+    return element(lat, {0: c})
 
 
 def vector_element(lat: Lattice, coords: Sequence) -> CliffordElement:
     """The lattice (or rational) vector sum(coords[i] * e_{i+1}) inside C."""
     if len(coords) != lat.rank:
         raise ValueError("coordinate vector length does not match lattice rank")
-    return element(lat, {1 << i: Fraction(x) for i, x in enumerate(coords)})
+    return element(lat, {1 << i: x for i, x in enumerate(coords)})
 
 
 def basis_element(lat: Lattice, index: int) -> CliffordElement:
     """The single basis vector e_index (1-based)."""
     if not 1 <= index <= lat.rank:
         raise ValueError(f"basis index {index} out of range for rank {lat.rank}")
-    return element(lat, {1 << (index - 1): Fraction(1)})
+    return element(lat, {1 << (index - 1): 1})
 
 
 def _same_ambient(x: CliffordElement, y: CliffordElement) -> None:
@@ -148,9 +156,9 @@ def _same_ambient(x: CliffordElement, y: CliffordElement) -> None:
         raise AmbientMismatch("elements live in Clifford algebras of different lattices")
 
 
-def _combine(pairs: Iterable[tuple[object, Mapping[int, object]]]) -> dict[int, object]:
+def _combine(pairs: Iterable[tuple[int, Mapping[int, int]]]) -> dict[int, int]:
     """The sum of c * terms over (c, terms) pairs, zero coefficients dropped."""
-    acc: dict[int, object] = {}
+    acc: dict[int, int] = {}
     for c, terms in pairs:
         for m, t in terms.items():
             acc[m] = acc.get(m, 0) + c * t
@@ -197,14 +205,14 @@ class _GenTable:
         """Normal form of e_mask * e_{g_1} * e_{g_2} * ... for the given g_i."""
         return self.apply({mask: 1}, gens)
 
-    def apply(self, x: Mapping[int, object], gens: Iterable[int]) -> Mapping[int, object]:
+    def apply(self, x: Mapping[int, int], gens: Iterable[int]) -> Mapping[int, int]:
         """x * e_{g_1} * e_{g_2} * ..., one generator step on all of x at a time."""
         for j in gens:
             x = _combine((c, self.gen(m, j)) for m, c in x.items())
         return x
 
-    def product(self, x: Mapping[int, object], y: Mapping[int, object]) -> dict[int, object]:
-        """x * y for mask -> coefficient mappings (ints stay ints)."""
+    def product(self, x: Mapping[int, int], y: Mapping[int, int]) -> dict[int, int]:
+        """x * y for mask -> coefficient mappings."""
         return _combine((cy, self.apply(x, _bits(my))) for my, cy in y.items())
 
     def tau(self, mask: int) -> int:
@@ -238,7 +246,7 @@ def _table(gram: tuple) -> _GenTable:
 def multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """The associative Clifford product in normal form."""
     _same_ambient(x, y)
-    return element(x.ambient, _table(x.ambient.gram).product(x._map, y._map))
+    return _reduced(x.ambient, _table(x.ambient.gram).product(x._map, y._map), x.den * y.den)
 
 
 def main_involution(x: CliffordElement) -> CliffordElement:
@@ -249,14 +257,13 @@ def main_involution(x: CliffordElement) -> CliffordElement:
     for non-orthogonal Gram matrices.
     """
     table = _table(x.ambient.gram)
-    return element(x.ambient, _combine(
-        (c, table.word(0, _bits(mask)[::-1])) for mask, c in x.coeffs
-    ))
+    return _reduced(x.ambient, _combine((c, table.word(0, _bits(mask)[::-1]))
+                                        for mask, c in x.nums), x.den)
 
 
 def parity(x: CliffordElement) -> GradedParity:
     """Grading of x under C = C+ (+) C-; the zero element counts as even."""
-    seen = {bin(mask).count("1") & 1 for mask, _ in x.coeffs}
+    seen = {bin(mask).count("1") & 1 for mask, _ in x.nums}
     if len(seen) == 2:
         return GradedParity.MIXED
     if seen == {1}:
@@ -266,15 +273,6 @@ def parity(x: CliffordElement) -> GradedParity:
 
 def scalar_part(x: CliffordElement) -> Fraction:
     return x.coefficient(0)
-
-
-def as_scalar(x: CliffordElement) -> Optional[Fraction]:
-    """The rational c with x = c*1, or None if x is not scalar."""
-    if not x.coeffs:
-        return Fraction(0)
-    if len(x.coeffs) == 1 and x.coeffs[0][0] == 0:
-        return x.coeffs[0][1]
-    return None
 
 
 def trace(x: CliffordElement) -> Fraction:
@@ -289,7 +287,7 @@ def trace(x: CliffordElement) -> Fraction:
     2^rank times a Pfaffian of Gram entries (Wick; see _GenTable.tau).
     """
     table = _table(x.ambient.gram)
-    return Fraction(sum(c * table.tau(mask) for mask, c in x.coeffs))
+    return Fraction(sum(c * table.tau(mask) for mask, c in x.nums), x.den)
 
 
 def invert(x: CliffordElement) -> CliffordElement:
@@ -315,14 +313,13 @@ def is_gspin(g: CliffordElement) -> bool:
     singletons = {1 << i for i in range(lat.rank)}
     for i in range(lat.rank):
         conj = multiply(multiply(g, basis_element(lat, i + 1)), g_inv)
-        if any(mask not in singletons for mask, _ in conj.coeffs):
+        if any(mask not in singletons for mask, _ in conj.nums):
             return False
     return True
 
 
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]+)?(?P<coeff>\d+(?:/\d+)?)?(?P<star>\*)?(?P<mono>e\{[\d,]*\})?"
-)
+_TERM_RE = re.compile(r" *(?P<sign>(?:[+-] *)+)?(?P<coeff>\d+(?:/\d+)?)? *(?P<star>\*)? *"
+                      r"(?P<mono>e\{[\d, ]*\})? *")
 
 
 def format_element(x: CliffordElement) -> str:
@@ -343,18 +340,18 @@ def format_element(x: CliffordElement) -> str:
 def parse_element(lat: Lattice, text: str) -> CliffordElement:
     """Parse the format produced by format_element.
 
-    Accepts optional whitespace, +- separators, bare rationals (scalar
-    terms), and bare monomials (coefficient 1).
+    Accepts spaces around terms, signs and factors (never inside a number
+    or an index), +- separators, bare rationals (scalar terms), and bare
+    monomials (coefficient 1).
     """
-    s = text.replace(" ", "")
-    if not s:
+    if not text.strip(" "):
         raise ValueError("empty Clifford element")
-    terms: list[tuple[Fraction, dict[int, int]]] = []
+    acc: dict[int, Fraction] = {}
     pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if m is None or m.end() == pos or (m.group("coeff") is None and m.group("mono") is None):
-            raise ValueError(f"bad Clifford element syntax near {s[pos:pos + 12]!r}")
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m.group("coeff") is None and m.group("mono") is None:
+            raise ValueError(f"bad Clifford element syntax near {text[pos:pos + 12]!r}")
         if pos > 0 and m.group("sign") is None:
             raise ValueError("Clifford element terms must be joined by + or -")
         coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
@@ -363,7 +360,9 @@ def parse_element(lat: Lattice, text: str) -> CliffordElement:
         mask = 0
         if m.group("mono"):
             body = m.group("mono")[2:-1]
-            for part in filter(None, body.split(",")):
+            for part in body.split(",") if body.strip(" ") else ():
+                if not part.strip(" ").isdigit():
+                    raise ValueError(f"empty or split basis index in {m.group('mono')!r}")
                 i = int(part)
                 if not 1 <= i <= lat.rank:
                     raise ValueError(f"basis index {i} out of range for rank {lat.rank}")
@@ -371,6 +370,6 @@ def parse_element(lat: Lattice, text: str) -> CliffordElement:
                 if mask & bit:
                     raise ValueError(f"repeated basis index {i} in monomial")
                 mask |= bit
-        terms.append((coeff, {mask: 1}))
+        acc[mask] = acc.get(mask, 0) + coeff
         pos = m.end()
-    return element(lat, _combine(terms))
+    return element(lat, acc)

@@ -167,12 +167,13 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     Builds the 2^rank x 2^rank matrices of <x,y> = trace(a x y^iota) and
     <x j, y> over the monomial basis, then checks exactly: the first is
     antisymmetric, the second symmetric with definite inertia (up to the
-    global sign fixed by orientation).  Entry (s, t) sums over u the
-    coefficient of e_u in a e_s (or a e_s j) times tau(e_u rev(e_t)); a
-    depth-first walk over t pushes that column, sparse, through transposed
-    tables into both forms and into the column of t + 2^i.  a and j are
-    even, so the inertia sums over the two parity blocks, once no entry is
-    found to join them.
+    global sign fixed by orientation).  The forms run on the integer
+    numerators of a and j, a positive rescaling that riemann_gram divides
+    out.  Entry (s, t) sums over u the coefficient of e_u in a e_s (or
+    a e_s j) times tau(e_u rev(e_t)); a depth-first walk over t pushes that
+    column, sparse, through transposed tables into both forms and into the
+    column of t + 2^i.  a and j are even, so the inertia sums over the two
+    parity blocks, once no entry is found to join them.
     """
     sig = signature(lat)
     if sig.neg != 2:
@@ -185,8 +186,7 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
             f"capped at {KS_RANK_CAP}"
         )
     a_el, (j_el, j_square) = polarizer(lat, splitting), j_element(z)
-    d = math.lcm(*(c.denominator for x in (a_el, j_el) for _, c in x.coeffs))
-    a, j = ({m: int(c * d) for m, c in x.coeffs} for x in (a_el, j_el))
+    a, j = dict(a_el.nums), dict(j_el.nums)
     table = clifford._table(lat.gram)
     n = 1 << lat.rank
 
@@ -224,7 +224,7 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
             if bin(s ^ t).count("1") & 1:
                 raise ValueError("the symmetric form joins even and odd monomials")
             blocks[bin(t).count("1") & 1][s >> 1][t >> 1] = x
-            gram[s][t] = Fraction(x, d * d)
+            gram[s][t] = Fraction(x, a_el.den * j_el.den)
     inertia = tuple(map(sum, zip(*map(linalg.inertia, blocks))))
     return KSReport(
         j=j_el,

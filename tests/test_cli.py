@@ -340,6 +340,11 @@ class TestClifford:
             "--invert",
         )
         assert doc["inverse"] == "1/2*e{1}"
+        # rank 22 is above the inversion cap, but a scalar needs no solve
+        doc = invoke_json(
+            capsys, "clifford", "--lattice", "K3", "--element", "2", "--invert"
+        )
+        assert doc["inverse"] == "1/2*e{}"
 
     def test_invert_and_gspin_solve_once(self, capsys, monkeypatch):
         calls = []
@@ -378,15 +383,11 @@ class TestClifford:
         assert err["type"] == "NotInvertible"
 
     def test_parse_error(self, capsys):
-        error_json(
-            capsys,
-            EXIT_INVALID,
-            "clifford",
-            "--lattice",
-            "A1",
-            "--element",
-            "e{1} e{1}",
-        )
+        for text in ("e{1} e{1}", "1 2*e{1}", "2 3", "e{1,,2}", "e{,}", "e{2,}"):
+            err = error_json(
+                capsys, EXIT_INVALID, "clifford", "--lattice", "E8", "--element", text
+            )
+            assert err["type"] == "ValueError"
 
 
 class TestKugaSatake:

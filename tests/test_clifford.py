@@ -1,5 +1,6 @@
 """Clifford algebra arithmetic over integral lattices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from k3cycles.errors import (
     NotInvertible,
     RankLimitExceeded,
 )
-from k3cycles.lattice import Lattice, direct_sum, hyperbolic_plane, root_a1
+from k3cycles.lattice import Lattice, direct_sum, hyperbolic_plane, k3_lattice, root_a1
 
 A2 = Lattice(((2, 1), (1, 2)))
 MIXED = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, 2)))
@@ -205,6 +206,13 @@ class TestInversion:
         monkeypatch.setattr(clifford, "_table", no_table)
         with pytest.raises(RankLimitExceeded):
             invert(x)
+        # a scalar needs no solve, so the cap does not apply to it
+        for lat in (big, k3_lattice()):
+            assert format_element(invert(scalar_element(lat, 2))) == "1/2*e{}"
+            assert invert(scalar_element(lat, Fraction(-3, 4))) == scalar_element(
+                lat, Fraction(-4, 3))
+            with pytest.raises(NotInvertible):
+                invert(scalar_element(lat, 0))
 
 
 class TestGspin:
@@ -251,9 +259,13 @@ class TestText:
         assert x == -basis_element(A2, 1) + 2 * basis_element(A2, 2)
         assert parse_element(A2, "5") == scalar_element(A2, 5)
         assert parse_element(A2, "-1/2") == scalar_element(A2, Fraction(-1, 2))
+        assert parse_element(A2, "e{}") == scalar_element(A2, 1)
+        assert parse_element(A2, " 1/2 * e{ 1 , 2 } -  3 ") == parse_element(A2, "1/2*e{1,2} - 3")
 
     def test_parse_rejects_junk(self):
-        for bad in ("e{0}", "e{3}", "e{1,1}", "1 +", "x*e{1}"):
+        # spaces may separate terms, signs and factors, never digits
+        for bad in ("e{0}", "e{3}", "e{1,1}", "1 +", "x*e{1}", "1 2*e{1}", "2 3", "1 / 2",
+                    "e{1 2}", "e{1,,2}", "e{,}", "e{2,}", "e{,1}"):
             with pytest.raises(ValueError):
                 parse_element(A2, bad)
 
@@ -266,6 +278,38 @@ def test_format_parse_round_trip(coeffs):
     lat = MIXED
     x = element(lat, coeffs)
     assert parse_element(lat, format_element(x)) == x
+
+
+@st.composite
+def rational_maps(draw):
+    """A diagonal lattice of rank 1-8, a mask -> rational map with
+    denominators up to 12, its masks shuffled, and a nonzero rational k."""
+    r = draw(st.integers(1, 8))
+    lat = Lattice(tuple(tuple(2 if i == j else 0 for j in range(r)) for i in range(r)))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    coeffs = draw(st.dictionaries(st.integers(0, (1 << r) - 1), coeff, max_size=8))
+    k = draw(st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool))
+    return lat, coeffs, draw(st.permutations(list(coeffs))), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_maps())
+def test_canonical_form(case):
+    # one value, one (nums, den): == and hash agree however it was built
+    lat, coeffs, order, k = case
+    x = element(lat, coeffs)
+    summed = element(lat, {})
+    for m in order:
+        summed = summed + element(lat, {m: coeffs[m]})
+    for y in (summed, x.scale(k).scale(1 / k)):
+        assert y == x and hash(y) == hash(x)
+    assert x.den > 0 and math.gcd(x.den, *(c for _, c in x.nums)) == 1
+    masks = [m for m, _ in x.nums]
+    assert masks == sorted(set(masks)) and all(c for _, c in x.nums)
+    assert dict(x.coeffs) == {m: c for m, c in coeffs.items() if c}
+    zero = x - x
+    assert zero == element(lat, {}) and hash(zero) == hash(element(lat, {}))
+    assert zero.den == 1 and zero.nums == ()
 
 
 @settings(max_examples=30, deadline=None)
@@ -323,9 +367,10 @@ def test_right_vector_multiplication_is_self_adjoint():
 def check_against_oracle(gram, cx, cy):
     lat = Lattice(gram)
     x, y = element(lat, cx), element(lat, cy)
-    assert dict(multiply(x, y).coeffs) == oracles.clifford_product(gram, x._map, y._map)
-    assert dict(main_involution(x).coeffs) == oracles.clifford_reverse(gram, x._map)
-    assert trace(x) == oracles.clifford_trace(gram, x._map)
+    assert dict(multiply(x, y).coeffs) == oracles.clifford_product(gram, dict(x.coeffs),
+                                                                   dict(y.coeffs))
+    assert dict(main_involution(x).coeffs) == oracles.clifford_reverse(gram, dict(x.coeffs))
+    assert trace(x) == oracles.clifford_trace(gram, dict(x.coeffs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,14 +413,16 @@ HOMOGENEOUS_GRAMS = (A2.gram, MIXED.gram, direct_sum(hyperbolic_plane(), root_a1
 
 
 def homogeneous_draws(gram, rng, count=4):
-    """Sparse (one to three terms) and dense even and odd coefficient maps."""
+    """Sparse (one to three terms) and dense even and odd coefficient maps,
+    each once integral and once over denominators 2-6."""
     size = 1 << len(gram)
     for odd in (0, 1):
         masks = [m for m in range(size) if bin(m).count("1") & 1 == odd]
         for _ in range(count):
             sparse = rng.sample(masks, min(len(masks), rng.randint(1, 3)))
-            yield {m: rng.randint(-3, 3) for m in sparse}
-            yield {m: rng.randint(-3, 3) for m in masks}
+            for den in (lambda: 1, lambda: rng.randint(2, 6)):
+                yield {m: Fraction(rng.randint(-3, 3), den()) for m in sparse}
+                yield {m: Fraction(rng.randint(-3, 3), den()) for m in masks}
 
 
 def test_homogeneous_inverses_match_full_system_oracle():
@@ -385,11 +432,11 @@ def test_homogeneous_inverses_match_full_system_oracle():
     h = hyperbolic_plane()
     cases = [(gram, cx) for gram in HOMOGENEOUS_GRAMS for cx in homogeneous_draws(gram, rng)]
     iso = multiply(vector_element(h, (1, 0)), vector_element(h, (0, 1)))
-    cases += [(h.gram, iso._map), (h.gram, vector_element(h, (1, 0))._map)]
+    cases += [(h.gram, dict(iso.coeffs)), (h.gram, dict(vector_element(h, (1, 0)).coeffs))]
     seen = {True: set(), False: set()}
     for gram, cx in cases:
         x = element(Lattice(gram), cx)
-        want = oracles.clifford_inverse(gram, x._map)
+        want = oracles.clifford_inverse(gram, dict(x.coeffs))
         try:
             got = dict(invert(x).coeffs)
         except NotInvertible:
