@@ -1,22 +1,30 @@
 """Exact lattice point enumeration for positive definite Gram matrices.
 
-The engine is one integer Fincke-Pohst recursion.  The integer pivot
-rows of linalg's symmetric pass give, once per call, rows a_ij and
-weights W_i of the LDL split K Q(x) = sum_i W_i (a_i . x)^2, and
-coordinates are scaled by the denominator D of the coset shift, so every
-norm is an integer N = K D^2 Q(x).  Coordinates are chosen from the last
-to the first, each level's window is an exact math.isqrt, and no floating
-point or Fraction arithmetic happens inside the recursion.  The recursion
-either scans Q(x) <= bound or, in exact mode, visits only Q(x) = target,
-solving W_0 y^2 = remainder at the last level instead of scanning it.
-It makes no call per vector: the last level is a loop that fills the
-sweep's result, a histogram of the integer norms plus the vectors of the
-norms the caller asked to keep.  Each node spends the K3CYCLES_ENUM_LIMIT
-budget for all its children at once, so the sweep spends one unit per
-node.  Coset shifts are allowed, so norms and targets may be non-integral
-rationals; Fraction appears only when converting at the public edge.
+The engine is one integer Fincke-Pohst sweep.  The integer pivot rows of
+linalg's symmetric pass give, once per call, rows a_ij and weights W_i of
+the LDL split K Q(x) = sum_i W_i (a_i . x)^2, and coordinates are scaled
+by the denominator D of the coset shift, so every norm is an integer
+N = K D^2 Q(x).  Coordinates are chosen from the last to the first, each
+level's window is an exact math.isqrt, and no floating point or Fraction
+arithmetic happens inside the sweep.  It either scans Q(x) <= bound or,
+in exact mode, visits only Q(x) = target, solving W_0 y^2 = remainder at
+the last level instead of scanning it.
 
-On a trivial coset the recursion visits each +-pair once and counts it
+A node's subtree depends only on the norm left to spend and on the
+linear terms of the levels below it, each taken modulo its level's step
+(a shift by the step re-indexes that level), so the sweep walks the
+levels above the last breadth-first over these reduced states and merges
+equal ones into a multiplicity.  Past MERGE_STATE_CAP states in one
+frontier, and whenever vectors are kept, the depth-first recursion
+finishes the walk.  The last level is a loop that fills the result, a
+histogram of the integer norms plus the vectors of the norms the caller
+asked to keep.  The K3CYCLES_ENUM_LIMIT budget is charged one unit per
+node of the unmerged tree, a merged state paying its multiplicity, so a
+charge can far exceed the work done.  Coset shifts are allowed, so norms
+and targets may be non-integral rationals; Fraction appears only when
+converting at the public edge.
+
+On a trivial coset the sweep visits each +-pair once and counts it
 twice (kept shells get both vectors), and the zero vector once; it reads
 this off the coset itself.
 
@@ -47,6 +55,7 @@ from .lattice import Lattice, Vector, as_vector
 
 ENUM_LIMIT_ENV = "K3CYCLES_ENUM_LIMIT"
 _DEFAULT_LIMIT = 10_000_000
+MERGE_STATE_CAP = 1 << 10  # states in one breadth-first frontier
 
 
 def _enum_limit() -> int:
@@ -118,13 +127,24 @@ def _sweep(
     maps each integer norm N = K D^2 Q(x) to its number of vectors, and
     kept maps each N in keep to its integral vectors X = D x.
 
-    Every window is an exact isqrt; in exact mode the last level solves
-    W_0 y^2 = left instead of scanning.  Level 0 is a loop over its
-    vectors, and level i - 1's linear term is c + dc * m in level i's m.
-    The root spends one unit of the budget and every node spends one per
-    child before visiting them, one unit per node in all.  On the trivial
-    coset each +-pair is visited once and counted twice (kept gets both
-    vectors), and the zero vector once.
+    With X_i = h_i + D m_i, level i scans y_i = step_i m_i + b_i for
+    step_i = a_ii D and b_i = a_ii h_i + sum_{j>i} a_ij X_j.  A subtree
+    depends only on the norm left and b_0..b_i, and replacing b_i by
+    b_i - q step_i and each b_j, j < i, by b_j - q a_ji D only re-indexes
+    m_i by q.  So the levels down to 1 are walked breadth-first over
+    states (left, b_0..b_i, zero) -> multiplicity, the terms reduced into
+    [0, step_j) from the top down so that equal subtrees merge.  A state
+    charges the budget its children times its multiplicity, and level 0
+    adds a pair times it to hist.  Once the next frontier holds
+    MERGE_STATE_CAP states, it and the rest of the current level are
+    finished by the depth-first recursion, started from each state's
+    terms; a sweep that keeps vectors needs their coordinates, so it
+    recurses from the root.  Every window is an exact isqrt; in exact
+    mode the last level solves W_0 y^2 = left instead of scanning.
+
+    On the trivial coset each +-pair is visited once and counted twice
+    (kept gets both vectors), and the zero vector once: the all-zero
+    prefix is a state of its own, never reduced, that keeps m >= 0.
     """
     rows, weights, k = form
     n = len(weights)
@@ -143,6 +163,8 @@ def _sweep(
     budget.spend()
     xs = [0] * n
     pair = 2 if symmetric else 1
+    base = [row[i] * h for i, (row, h) in enumerate(zip(rows, lift))]
+    mult, frontier = 1, {}
 
     def rec(i: int, left: int, b: int, zero: bool):
         # y = e_i X_i + sum_{j>i} a_ij X_j = step * m + b for X_i = h + den * m
@@ -155,29 +177,62 @@ def _sweep(
         else:
             r = math.isqrt(left // w)
             ms = range(-((r + b) // step), (r - b) // step + 1)
-        if symmetric and zero:
+        if zero:
             ms = [m for m in ms if m >= 0]
-        budget.spend(len(ms))
+        budget.spend(len(ms) * mult)
         if i == 0:
-            base = top - left
+            spent, add = top - left, pair * mult
             for m in ms:
                 y = step * m + b
-                t = base + w * y * y
-                hist[t] = hist.get(t, 0) + pair
+                t = spent + w * y * y
+                hist[t] = hist.get(t, 0) + add
                 if t in kept:
                     xs[0] = lift[0] + den * m
                     kept[t] += [xs[:], [-v for v in xs]] if symmetric and t else [xs[:]]
             return
         h, row = lift[i], rows[i - 1]
-        c = row[i - 1] * lift[i - 1] + row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
+        c = base[i - 1] + row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
         dc = row[i] * den
         for m in ms:
             y = step * m + b
             xs[i] = h + den * m
-            rec(i - 1, left - w * y * y, c + dc * m, zero and xs[i] == 0)
+            child(i - 1, left - w * y * y, c + dc * m, zero and xs[i] == 0)
+
+    def merge(i: int, left: int, b: int, zero: bool):
+        # a child of a merged state joins the next frontier, reduced
+        x = xs[i + 1]
+        bs = [v + r[i + 1] * x for v, r in zip(base[:i + 1], rows)]
+        for j in range(i, -1, -1):
+            q = bs[j] // (rows[j][j] * den)
+            if q:
+                bs[:j + 1] = [v - q * den * r[j] for v, r in zip(bs[:j + 1], rows)]
+        key = (left, tuple(bs), zero)
+        frontier[key] = frontier.get(key, 0) + mult
+
+    def start(i: int, state):
+        nonlocal mult
+        (left, bs, zero), mult = state
+        xs[i + 1:] = [0] * (n - 1 - i)
+        base[:i + 1] = bs
+        rec(i, left, bs[i], zero)
 
     if n:
-        rec(n - 1, top, rows[-1][-1] * lift[-1], True)
+        level, states = n - 1, iter([((top, tuple(base), symmetric), 1)])
+        child = rec if keep else merge
+        while level > 1 and child is merge:  # a level-0 node costs less than a merge
+            frontier = {}
+            for state in states:
+                start(level, state)
+                if len(frontier) >= MERGE_STATE_CAP:
+                    child = rec
+                    for merged in frontier.items():
+                        start(level - 1, merged)
+                    break
+            else:
+                level, states = level - 1, iter(frontier.items())
+        child = rec
+        for state in states:
+            start(level, state)
     elif not (exact and top):
         hist[0] = 1
         kept.get(0, []).append([])

@@ -2,7 +2,9 @@
 
 import json
 import math
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,19 @@ def posdef_lattices(rank_max=3, rank_min=1):
 # D4 with basis (1,-1,0,0), (0,1,-1,0), (0,0,1,-1), (0,0,1,1) of Z^4
 D4 = Lattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
 A1A1 = direct_sum(root_a1(), root_a1())
+
+
+def sheared_e8(seed: str, count: int) -> Lattice:
+    """U E8 U^T for U the identity after `count` seeded row shears by +-1."""
+    u = [[int(i == j) for j in range(8)] for i in range(8)]
+    rng = random.Random(seed)
+    for _ in range(count):
+        i, j = rng.sample(range(8), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    g = e8_lattice().gram
+    ug = [[sum(map(math.prod, zip(row, col))) for col in zip(*g)] for row in u]
+    return Lattice(tuple(tuple(sum(map(math.prod, zip(r, v))) for v in u) for r in ug))
 
 
 @st.composite
@@ -134,10 +149,14 @@ class TestRepCount:
         (lambda: norm_histogram(e8_lattice(), None, 10), 50444),
         (lambda: rep_count(e8_lattice(), 6), 8227),
         (lambda: tuple_rep_count(e8_lattice(), ((2, 1), (1, 2))), 57979),
-    ], ids=["histogram", "rep_count", "pairs"])
+        (lambda: norm_histogram(sheared_e8("E8 skew", 8), None, 6), 10346),
+        (lambda: norm_histogram(D4, (1, 1, Fraction(1, 2), Fraction(1, 2)), 31), 3097),
+        (lambda: norm_histogram(sheared_e8("shear1", 20), None, 6), 28246),
+    ], ids=["histogram", "rep_count", "pairs", "skewed-E8", "D4-spinor", "past-cap"])
     def test_budget_is_spent_exactly(self, monkeypatch, count, nodes):
-        # one unit per node of the search tree and per candidate check:
-        # the total passes, one less does not
+        # one unit per node of the unmerged search tree and per candidate
+        # check, merged states or not: the total passes, one less does not.
+        # The 20-shear E8's frontier passes MERGE_STATE_CAP
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes))
         count()
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes - 1))
@@ -165,6 +184,32 @@ class TestHistogram:
         assert time.perf_counter() - start < 3.0
         want = {Fraction(2 * n): 240 * oracles.sigma(3, n) for n in range(1, 11)}
         assert hist == {Fraction(0): 1, **want}
+
+    def test_e8_to_40_is_eisenstein(self):
+        # 7,630,374 nodes charged, under the default 10^7 budget
+        hist = norm_histogram(e8_lattice(), None, 40)
+        want = {Fraction(2 * n): 240 * oracles.sigma(3, n) for n in range(1, 21)}
+        assert hist == {Fraction(0): 1, **want}
+
+    def test_e8e8_to_6_is_eisenstein(self):
+        # weight 8: 480 sigma_7(n), 1,530,615 nodes charged
+        hist = norm_histogram(direct_sum(e8_lattice(), e8_lattice()), None, 6)
+        want = {Fraction(2 * n): 480 * oracles.sigma(7, n) for n in range(1, 4)}
+        assert hist == {Fraction(0): 1, **want}
+
+    def test_capped_frontier_stays_small(self):
+        # the 40-shear E8's unmerged frontier reaches 4698 states at one
+        # level, and held whole it peaks at 1.4 MB; past MERGE_STATE_CAP
+        # the sweep recurses instead and peaks at about 0.3 MB
+        lat = sheared_e8("shear0", 40)
+        tracemalloc.start()
+        try:
+            hist = norm_histogram(lat, None, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == 9121
+        assert peak < 750_000
 
 
 class TestTupleCount:
