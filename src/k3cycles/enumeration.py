@@ -31,10 +31,18 @@ this off the coset itself.
 Tuple counts (genus r) go through one routine for single targets and
 Siegel tables alike: each coset's slots get their norm shells from one
 sweep (exact for a single norm, otherwise a bound scan grouped by norm),
-scaled to integer vectors X with G X precomputed; a backtracking search
-then keeps a candidate for a later slot only if its integer dot product
-with every chosen G X matches the target, so no partial tuple needs
-linear algebra.
+scaled to integer vectors X.  Each shell is packed once into lanes, one
+per vector: for each coordinate j, one big integer holds (G X)_j of every
+vector at its lane's offset.  By Cauchy-Schwarz no dot product a search
+meets exceeds the largest slot norm N of the call in absolute value, so
+lanes of 8 ceil((bitlen(2N + 1) + 1) / 8) bits hold it biased to a
+nonnegative value with the top bit free.  A chosen vector then filters a
+whole later shell with one big-integer expression: its coordinates times
+the packs give every candidate's dot product in its lane, and an exact
+SWAR zero-lane test against the biased target marks the lanes that
+match.  Candidate sets are these lane masks, ANDed level by level, and
+the last slot is counted by popcount, so no partial tuple needs linear
+algebra and no candidate is visited on its own.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Optional, Sequence
 
@@ -288,36 +297,95 @@ def _norm_histograms(lat: Lattice, shifts: Sequence, bound) -> list[dict[Fractio
     return out
 
 
-def _shell(gram, vectors: list[list[int]]) -> list[tuple[list[int], list[int]]]:
-    """Pair every integer vector X with its image G X."""
-    return [(x, [sum(map(mul, row, x)) for row in gram]) for x in vectors]
+def _lane_width(bound: int) -> int:
+    """Bits per lane for dot products of absolute value at most bound: the
+    biased lanes and the zero-lane test need 2 bound + 1 plus one spare top
+    bit, rounded up to whole bytes so that a mask reads as bytes."""
+    return 8 * -(-((2 * bound + 1).bit_length() + 1) // 8)
 
 
-def _tuple_search(rows, shells: Sequence[list], budget: _Budget) -> int:
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum_c values[c] 2^(c width), by pairwise halving (near-linear)."""
+    vals, shift = list(values), width
+    while len(vals) > 1:
+        if len(vals) % 2:
+            vals.append(0)
+        vals = [a + (b << shift) for a, b in zip(vals[::2], vals[1::2])]
+        shift *= 2
+    return vals[0] if vals else 0
+
+
+def _shell(gram, vectors: list[list[int]], width: int) -> tuple[list, list[int], int]:
+    """A shell of integer vectors X_c packed into lanes of `width` bits:
+    (vectors, packs, ones), where packs[j] = sum_c (G X_c)_j 2^(c width),
+    formed from the packed coordinates with no product per vector, and
+    ones has a 1 in every lane."""
+    cols = [_pack(col, width) for col in zip(*vectors)]
+    packs = [sum(map(mul, row, cols)) for row in gram]
+    ones = ((1 << len(vectors) * width) - 1) // ((1 << width) - 1)
+    return vectors, packs, ones
+
+
+def _tuple_search(rows, shells: Sequence[tuple], width: int, budget: _Budget) -> int:
     """Number of tuples (x_1..x_r), x_k from shells[k], with Gram rows / s^2.
 
-    Shell entries are (X, G X) with X = s*x integral for one common scale
-    s, and rows = s^2 T is integral, so (x_i, x_k) = T_ik iff
-    X_k . (G X_i) = rows[i][k].  Each chosen vector filters the candidates
-    of every later slot by that integer dot product; the last slot is
-    counted, not visited.  Every candidate check spends one unit of the
-    budget.
+    Shells come from _shell: X = s*x integral for one common scale s, and
+    rows = s^2 T is integral, so (x_i, x_k) = T_ik iff
+    X_i . (G X_k) = rows[i][k].  For a chosen X_i, sum_j X_ij packs[j]
+    holds X_i . G X_c in lane c of slot k's shell, for every candidate c
+    at once.  By Cauchy-Schwarz each such dot has absolute value at most
+    the largest slot norm N <= 2^(width-2) - 1, so biased by
+    B = 2^(width-2) every lane lies in [1, 2B - 1] with its top bit free,
+    and one exact SWAR zero-lane test against rows[i][k] + B marks the
+    lanes that match.  Candidate sets are masks of lane top bits: each
+    level ANDs in the chosen vector's masks, and the last slot is counted
+    by popcount.  The last two slots are symmetric, so the smaller side is
+    the one iterated.  Each level spends, per vector it chooses, the later
+    slots' popcounts, the candidate checks of a scalar filter, so the
+    budget totals do not depend on the packing.
     """
-    def rec(k: int, cands: list[list]) -> int:
-        if len(cands) <= 1:
-            return len(cands[0]) if cands else 1
-        rest = cands[1:]
-        wants = rows[k][k + 1:]
+    r = len(shells)
+    if r < 2:
+        return len(shells[0][0]) if shells else 1
+    lane = width // 8
+    half = 1 << (width - 2)
+    # per slot: the bias B and B' = 2B - 1 in every lane, and every lane's top bit
+    biases = [half * ones for _v, _p, ones in shells]
+    lows = [(2 * half - 1) * ones for _v, _p, ones in shells]
+    full = [2 * half * ones for _v, _p, ones in shells]
+    # lane pattern of rows[k][l] + B; 0 matches no lane, so it stands for a
+    # target out of reach of every dot
+    wants = [[(t + half if -half < t < half else 0) * ones
+              for t, (_v, _p, ones) in zip(row, shells)] for row in rows]
+
+    def match(x, k: int, l: int, mask: int) -> int:
+        # the lanes of mask whose candidate X_c in slot l has X . G X_c == rows[k][l]
+        y = sum(map(mul, x, shells[l][1]), biases[l]) ^ wants[k][l]
+        return mask ^ (mask & (y + lows[l]))
+
+    def chosen(k: int, mask: int):
+        # the vectors of slot k in mask: all of them for a full mask, as at the
+        # root, else those whose lane has its top byte set
+        vectors = shells[k][0]
+        if mask == full[k]:
+            return vectors
+        return compress(vectors, mask.to_bytes(len(vectors) * lane, "little")[lane - 1::lane])
+
+    def rec(k: int, masks: list[int]) -> int:
+        counts = [m.bit_count() for m in masks]
+        budget.spend(counts[0] * sum(counts[1:]))
+        if k == r - 2:
+            a, b = (k, k + 1) if counts[0] <= counts[1] else (k + 1, k)
+            other = masks[b - k]
+            return sum(match(x, a, b, other).bit_count() for x in chosen(a, masks[a - k]))
         total = 0
-        for _x, gx in cands[0]:
-            budget.spend(sum(map(len, rest)))
-            kept = [[e for e in c if sum(map(mul, e[0], gx)) == w]
-                    for c, w in zip(rest, wants)]
+        for x in chosen(k, masks[0]):
+            kept = [match(x, k, l, m) for l, m in enumerate(masks[1:], k + 1)]
             if all(kept):
                 total += rec(k + 1, kept)
         return total
 
-    return rec(0, list(shells))
+    return rec(0, full)
 
 
 def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fraction]]) -> list[int]:
@@ -326,13 +394,16 @@ def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fractio
 
     Each distinct coset is swept once for the norms its slots need: an
     exact sweep for a single norm, else one bound scan to the largest,
-    grouped by integer norm.  One budget covers the sweeps and searches.
+    grouped by integer norm.  Each shell is packed once, in lanes wide
+    enough for the largest slot norm of the call.  One budget covers the
+    sweeps and searches.
     """
     form = _integer_form(lat.gram)
     scale = math.lcm(1, *map(_denominator, shifts))
     keys = [tuple(h) for h in shifts]
+    width = _lane_width(max((t[k][k] for t in targets for k in range(len(t))), default=0))
     budget = _Budget(_enum_limit())
-    shells: dict[tuple, list] = {}
+    shells: dict[tuple, tuple] = {}
     for h in dict.fromkeys(keys):
         norms = {t[k][k] for t in targets for k, hk in enumerate(keys) if hk == h}
         factor = scale // _denominator(h)
@@ -343,8 +414,9 @@ def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fractio
                                     exact=len(norms) == 1, keep=wanted)
         found = {t: kept[n] for n, t in wanted.items()}
         for t in norms:
-            shells[h, t] = _shell(lat.gram, [[v * factor for v in x] for x in found.get(t, ())])
-    return [_tuple_search(t, [shells[h, t[k][k]] for k, h in enumerate(keys)], budget)
+            shells[h, t] = _shell(lat.gram, [[v * factor for v in x] for x in found.get(t, ())],
+                                  width)
+    return [_tuple_search(t, [shells[h, t[k][k]] for k, h in enumerate(keys)], width, budget)
             for t in targets]
 
 

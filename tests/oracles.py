@@ -5,7 +5,8 @@ the inverse Gram diagonal, itertools.product sweeps, divisor sums by
 trial division, a plain Fraction Gauss-Jordan elimination as the
 reference for linalg, the Schur pass of linalg's congruence
 diagonalization in Fraction, Smith invariant factors from determinantal
-divisors, kernel saturation from the gcd of maximal minors, Clifford
+divisors, kernel saturation from the gcd of maximal minors, tuple
+counts by one scalar dot product per candidate check, Clifford
 words normalized by adjacent rewriting, Clifford inverses from one solve
 of the full left-multiplication system on those words, the Gauss and
 Milgram sums term by term in floating point, the sign of a + b sqrt(n)
@@ -25,6 +26,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from k3cycles.lattice import Lattice, discriminant_group, signature
 
@@ -314,6 +316,34 @@ def box_tuple_count(lat: Lattice, target, cosets=None) -> int:
         ):
             count += 1
     return count
+
+
+def scalar_tuple_search(rows, shells, budget) -> int:
+    """Number of tuples (x_1..x_r), x_k from shells[k], with Gram rows / s^2,
+    by one integer dot product per candidate check.
+
+    Shell entries are (X, G X) with X = s*x integral for one common scale
+    s, and rows = s^2 T is integral, so (x_i, x_k) = T_ik iff
+    X_k . (G X_i) = rows[i][k].  Each chosen vector filters the candidates
+    of every later slot by that integer dot product; the last slot is
+    counted, not visited.  Every candidate check spends one unit of the
+    budget.
+    """
+    def rec(k: int, cands: list[list]) -> int:
+        if len(cands) <= 1:
+            return len(cands[0]) if cands else 1
+        rest = cands[1:]
+        wants = rows[k][k + 1:]
+        total = 0
+        for _x, gx in cands[0]:
+            budget.spend(sum(map(len, rest)))
+            kept = [[e for e in c if sum(map(mul, e[0], gx)) == w]
+                    for c, w in zip(rest, wants)]
+            if all(kept):
+                total += rec(k + 1, kept)
+        return total
+
+    return rec(0, list(shells))
 
 
 def _word(mask: int) -> tuple[int, ...]:

@@ -19,6 +19,10 @@ from k3cycles.errors import (
     NegativeTarget,
 )
 from k3cycles.enumeration import (
+    _Budget,
+    _lane_width,
+    _shell,
+    _tuple_search,
     enumerate_vectors,
     norm_histogram,
     rep_count,
@@ -149,10 +153,13 @@ class TestRepCount:
         (lambda: norm_histogram(e8_lattice(), None, 10), 50444),
         (lambda: rep_count(e8_lattice(), 6), 8227),
         (lambda: tuple_rep_count(e8_lattice(), ((2, 1), (1, 2))), 57979),
+        (lambda: tuple_rep_count(e8_lattice(), ((4, 1), (1, 4))), 4668296),
+        (lambda: tuple_rep_count(e8_lattice(), ((2, 1, 1), (1, 2, 1), (1, 1, 2))), 868219),
         (lambda: norm_histogram(sheared_e8("E8 skew", 8), None, 6), 10346),
         (lambda: norm_histogram(D4, (1, 1, Fraction(1, 2), Fraction(1, 2)), 31), 3097),
         (lambda: norm_histogram(sheared_e8("shear1", 20), None, 6), 28246),
-    ], ids=["histogram", "rep_count", "pairs", "skewed-E8", "D4-spinor", "past-cap"])
+    ], ids=["histogram", "rep_count", "pairs", "norm-4-pairs", "root-triples", "skewed-E8",
+            "D4-spinor", "past-cap"])
     def test_budget_is_spent_exactly(self, monkeypatch, count, nodes):
         # one unit per node of the unmerged search tree and per candidate
         # check, merged states or not: the total passes, one less does not.
@@ -245,6 +252,17 @@ class TestTupleCount:
         assert tuple_rep_count(e8_lattice(), target) == want
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("target, want", [
+        # the genus-2 Siegel-Eisenstein coefficient of E8 at this target
+        (((4, 1), (1, 4)), 967680),
+        # a root, a root at 1 to it, and one of the 27 roots at 1 to both
+        (((2, 1, 1), (1, 2, 1), (1, 1, 2)), 240 * 56 * 27),
+    ])
+    def test_e8_closed_forms(self, target, want):
+        start = time.perf_counter()
+        assert tuple_rep_count(e8_lattice(), target) == want
+        assert time.perf_counter() - start < 1.0
+
     def test_filter_budget(self, monkeypatch):
         # the 240-vector root shell fits in the budget; its 240 x 240
         # candidate checks do not
@@ -298,6 +316,74 @@ def test_tuple_count_matches_box(case):
     assert tuple_rep_count(lat, target, cosets) == oracles.box_tuple_count(
         lat, target, cosets
     )
+
+
+E8 = e8_lattice()
+DIAG63 = Lattice(((63, 0), (0, 63)))
+
+
+@st.composite
+def packed_search_cases(draw):
+    """A lattice of rank 2-8, r = 1-3 slot cosets of denominators up to 6,
+    and an integer target s^2 T.  Each diagonal entry is a norm of its
+    slot's coset up to 4, or one with no vectors; each off-diagonal entry
+    is drawn from [-e, e], e = isqrt(t_ii t_kk), often at an end."""
+    lat = draw(st.one_of(posdef_lattices(rank_max=8, rank_min=2),
+                         st.sampled_from((D4, A1A1, E8, DIAG63))))
+    r = draw(st.integers(1, 3))
+    cosets = []
+    for _ in range(r):
+        den = draw(st.integers(1, 6))
+        cosets.append(tuple(Fraction(draw(st.integers(0, den - 1)), den)
+                            for _ in range(lat.rank)))
+    scale = math.lcm(*(x.denominator for h in cosets for x in h))
+    diag = []
+    for h in cosets:
+        norms = sorted(t * scale * scale for t in norm_histogram(lat, h, 4))
+        absent = max(norms, default=0) + 1
+        diag.append(int(draw(st.sampled_from(norms + [absent]))))
+    target = [[diag[i] if i == k else 0 for k in range(r)] for i in range(r)]
+    for i in range(r):
+        for k in range(i + 1, r):
+            e = math.isqrt(diag[i] * diag[k])
+            target[i][k] = target[k][i] = draw(
+                st.one_of(st.sampled_from((-e, e)), st.integers(-e, e)))
+    return lat, cosets, target
+
+
+def _slot_vectors(lat, cosets, target):
+    scale = math.lcm(*(x.denominator for h in cosets for x in h))
+    return [[[int(v * scale) for v in x]
+             for x in enumerate_vectors(lat, Fraction(target[k][k], scale * scale), h)]
+            for k, h in enumerate(cosets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_search_cases())
+# shells of more than 16 lanes: E8 root pairs and triples
+@example((E8, [(0,) * 8] * 2, [[2, 1], [1, 2]]))
+@example((E8, [(0,) * 8] * 3, [[2, 1, 1], [1, 2, 1], [1, 1, 2]]))
+@example((E8, [(0,) * 8] * 3, [[2, -1, 0], [-1, 2, 1], [0, 1, 2]]))
+# the lane-bias edge: X against X and -X, at dots +-N for N = 63, the
+# largest slot norm of 8-bit lanes, and N = 64, the smallest of 16-bit ones
+@example((DIAG63, [(0, 0)] * 2, [[63, -63], [-63, 63]]))
+@example((DIAG63, [(0, 0)] * 3, [[63, 63, -63], [63, 63, -63], [-63, -63, 63]]))
+@example((Lattice(((64, 0), (0, 64))), [(0, 0)] * 3,
+          [[64, 64, -64], [64, 64, -64], [-64, -64, 64]]))
+# an empty slot between two full ones
+@example((D4, [(0,) * 4] * 3, [[2, 0, 1], [0, 3, 0], [1, 0, 2]]))
+def test_packed_search_matches_scalar_oracle(case):
+    """The packed-lane search gives the scalar filter's count and spends
+    the same budget."""
+    lat, cosets, target = case
+    vectors = _slot_vectors(lat, cosets, target)
+    width = _lane_width(max(target[k][k] for k in range(len(target))))
+    budget, oracle_budget = _Budget(10**12), _Budget(10**12)
+    got = _tuple_search(target, [_shell(lat.gram, v, width) for v in vectors], width, budget)
+    pairs = [[(x, [sum(map(math.prod, zip(row, x))) for row in lat.gram]) for x in v]
+             for v in vectors]
+    assert got == oracles.scalar_tuple_search(target, pairs, oracle_budget)
+    assert budget.left == oracle_budget.left
 
 
 @st.composite

@@ -210,6 +210,19 @@ def test_witt_e8e8_d16_plus_genus2():
     assert e8e8.count(((4, 0), (0, 0))) == 61920
 
 
+def test_witt_e8e8_d16_plus_genus3():
+    """Witt's identity at genus 3: the trace-4 tables of E8+E8 and D16+
+    agree on all 129 targets."""
+    e8e8 = siegel_theta_table(direct_sum(e8_lattice(), e8_lattice()), 3, 4)
+    table = siegel_theta_table(d16_plus(), 3, 4)
+    assert len(e8e8.entries) == 129
+    assert table.entries == e8e8.entries
+    # both lattices are even, so a slot of odd norm is empty, and at trace
+    # 4 every target with tuples has a slot of norm 0
+    assert e8e8.count(((2, 0, 1), (0, 0, 0), (1, 0, 2))) == 480 * 56
+    assert e8e8.count(((1, 0, 0), (0, 1, 0), (0, 0, 2))) == 0
+
+
 def _oracle_psd_rank(t):
     p, q, _z = oracles.inertia(t)
     return p if q == 0 else None
