@@ -1,7 +1,9 @@
 """Command line front end: k3cycles <subcommand> [flags].
 
 `_COMMANDS` is the one registry of subcommands: each name maps to its
-handler and its flag specs, in `--help` order.  `run` parses the flags,
+handler and its flag specs, in `--help` order.  `_read_flags` reads the
+words after the subcommand by these specs (`--flag value` or
+`--flag=value`, unique prefixes, values that may start with `-`).  `run`
 loads `--lattice` once when the subcommand takes one, and writes what the
 handler returns once, to stdout or `--output`: a dict as a deterministic
 JSON artifact, a string (the CSV of `table`) as is.  Exact numbers appear
@@ -13,10 +15,10 @@ failure (error JSON on stderr), 64 unknown subcommand, 66 file trouble.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import clifford, enumeration, gauss, kuga_satake, theta, transfer
@@ -245,6 +247,7 @@ _LATTICE = ("--lattice", dict(required=True, help=(
 )))
 _H = ("--h", dict(help="coset vector, comma-separated rationals"))
 _FLAG = dict(action="store_true")
+_OUTPUT = ("--output", dict(metavar="PATH", help="write the artifact here instead of stdout"))
 
 # name -> (handler, flag specs in --help order); `--output` comes first
 _COMMANDS = {
@@ -258,7 +261,7 @@ _COMMANDS = {
         _LATTICE,
         ("--bound", dict(default="10", help="include exponents up to this norm")),
         _H,
-        ("--tau", dict(nargs=2, type=float, metavar=("RE", "IM"),
+        ("--tau", dict(nargs=2, type=float, metavar="RE IM",
                        help="also evaluate the series at tau = RE + IM*i")),
         ("--check-transform",
          dict(_FLAG, help="report the inversion-symmetry residual at --tau")),
@@ -301,12 +304,49 @@ _USAGE = (
 )
 
 
-def _build_parser(name: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"k3cycles {name}")
-    p.add_argument("--output", metavar="PATH", help="write the artifact here instead of stdout")
-    for flag, spec in _COMMANDS[name][1]:
-        p.add_argument(flag, **spec)
-    return p
+def _help(name: str, specs: dict) -> str:
+    forms = {f: f if s.get("action") == "store_true" else f"{f} {s.get('metavar', f[2:].upper())}"
+             for f, s in specs.items()}
+    usage = " ".join(v if specs[f].get("required") else f"[{v}]" for f, v in forms.items())
+    lines = [f"usage: k3cycles {name} [-h] {usage}", "", "  -h, --help\n      show this help"]
+    return "\n".join(lines + [f"  {v}\n      {specs[f]['help']}" for f, v in forms.items()]) + "\n"
+
+
+def _read_flags(name: str, words: list[str]) -> Optional[SimpleNamespace]:
+    """Consume `words` by the flag specs of `name`; None once `--help` is written.
+
+    A flag is `--flag value` or `--flag=value`, spelled out or by a unique
+    prefix, and the next word is its value unless it starts with `--`.
+    """
+    specs = dict([_OUTPUT, *_COMMANDS[name][1]])
+    known = (*specs, "--help")
+    args = {f: s.get("default") for f, s in specs.items()}
+    while words:
+        flag, eq, value = words.pop(0).partition("=")
+        flag = "--help" if flag == "-h" else flag
+        hits = [f for f in known if f == flag] or [
+            f for f in known if flag.startswith("--") and f.startswith(flag)]
+        if len(hits) != 1:
+            raise ValueError(f"{'ambiguous' if hits else 'unknown'} flag {flag!r}")
+        if hits[0] == "--help":
+            sys.stdout.write(_help(name, specs))
+            return None
+        flag, spec = hits[0], specs[hits[0]]
+        n = 0 if spec.get("action") == "store_true" else spec.get("nargs", 1)
+        values = [value] if eq else words[:n]
+        del words[:0 if eq else n]
+        if len(values) != n or not eq and any(v.startswith("--") for v in values):
+            raise ValueError(f"{flag} takes {n} value{'s' * (n != 1)}")
+        try:
+            values = [spec.get("type", str)(v) for v in values]
+        except ValueError:
+            raise ValueError(f"bad value for {flag}: {' '.join(values)!r}") from None
+        value = True if n == 0 else values if "nargs" in spec else values[0]
+        args[flag] = (args[flag] or []) + [value] if spec.get("action") == "append" else value
+    missing = [f for f, s in specs.items() if s.get("required") and args[f] is None]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return SimpleNamespace(**{f[2:].replace("-", "_"): v for f, v in args.items()})
 
 
 def run(argv: Sequence[str]) -> int:
@@ -324,13 +364,12 @@ def run(argv: Sequence[str]) -> int:
             "UnknownSubcommand",
             f"unknown subcommand {name!r}; expected one of {sorted(_COMMANDS)}",
         )
-    parser = _build_parser(name)
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as ex:
-        if ex.code in (0, None):
-            return EXIT_OK
-        return _fail(EXIT_INVALID, "InvalidArguments", f"bad arguments for {name!r}")
+        args = _read_flags(name, argv[1:])
+    except ValueError as ex:
+        return _fail(EXIT_INVALID, "InvalidArguments", f"bad arguments for {name!r}: {ex}")
+    if args is None:
+        return EXIT_OK
     try:
         lat = _load_lattice(args.lattice) if hasattr(args, "lattice") else None
         result = _COMMANDS[name][0](args, lat)

@@ -1,13 +1,16 @@
 """In-process exercise of the command line front end."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import k3cycles
 from k3cycles import clifford, linalg, theta, transfer
-from k3cycles.cli import EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
+from k3cycles.cli import _COMMANDS, _OUTPUT, EXIT_FILE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 
 def invoke(capsys, *argv):
@@ -39,8 +42,8 @@ def quintic_input(tmp_path):
 def error_json(capsys, expected_code, *argv):
     code, out, err = invoke(capsys, *argv)
     assert code == expected_code
-    # argparse may print its own usage lines first; the JSON is last
-    doc = json.loads(err.strip().splitlines()[-1])
+    assert out == "" and err.count("\n") == 1, (out, err)  # stderr is one JSON line
+    doc = json.loads(err)
     assert doc["schema_version"] == 1
     assert set(doc["error"]) == {"type", "message"}
     return doc["error"]
@@ -72,6 +75,9 @@ class TestDispatch:
         code, out, _ = invoke(capsys, name, "--help")
         assert code == EXIT_OK
         assert out.startswith(f"usage: k3cycles {name} ")
+        listed = out.split()
+        for flag, spec in [_OUTPUT, *_COMMANDS[name][1]]:
+            assert flag in listed and spec["help"] in out, flag
 
     def test_bad_flags(self, capsys):
         err = error_json(capsys, EXIT_INVALID, "count", "--lattice", "E8")
@@ -80,6 +86,106 @@ class TestDispatch:
     def test_threads_is_not_an_option(self, capsys):
         err = error_json(capsys, EXIT_INVALID, "info", "--lattice", "K3", "--threads", "4")
         assert err["type"] == "InvalidArguments"
+
+    def test_no_parser_modules_imported(self, tmp_path):
+        # -S: a .pth file of site-packages may import anything
+        script = (
+            "import sys\n"
+            "from k3cycles import cli\n"
+            "rc = cli.run(['table', '--output', sys.argv[1]])\n"
+            "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        src = str(Path(k3cycles.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script, str(tmp_path / "table.csv")],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert done.stdout == "0 []\n", done.stderr
+        assert (tmp_path / "table.csv").read_text().startswith("d,m,N\n")
+
+
+ONETWO = "ONETWO"  # replaced by the path of a JSON file with Gram diag(2, -2, -2)
+FLAG_FORMS = [
+    # (argv as written, the same argv spelled out): both print the same artifact
+    (["count", "--lattice=A1", "--t=1/2", "--h=1/2"],
+     ["count", "--lattice", "A1", "--t", "1/2", "--h", "1/2"]),
+    (["theta", "--lat", "A1", "--bou", "8", "--ta", "-0.3", "0.9", "--check"],
+     ["theta", "--lattice", "A1", "--bound", "8", "--tau", "-0.3", "0.9", "--check-transform"]),
+    (["theta", "--lattice", "A1"], ["theta", "--lattice", "A1", "--bound", "10"]),
+    (["count", "--lattice", "E8", "--t", "2", "--t", "4"],
+     ["count", "--lattice", "E8", "--t", "4"]),
+    (["gauss", "--lattice", "A1", "--c=4", "--a", "-1"],
+     ["gauss", "--lattice", "A1", "--a", "-1", "--c", "4"]),
+    (["ks", "--lattice", ONETWO, "--z1=0,1,0", "--z2", "0,0,1", "--mi", "0,1,0", "--pl", "1,0,0",
+      "--minus=0,0,1"],
+     ["ks", "--lattice", ONETWO, "--z1", "0,1,0", "--z2", "0,0,1", "--minus", "0,1,0", "--minus",
+      "0,0,1", "--plus", "1,0,0"]),
+    # a value may start with "-" and need not be a number
+    (["count", "--lattice", "A1", "--t", "1/2", "--h", "-1/2"],
+     ["count", "--lattice", "A1", "--t", "1/2", "--h=-1/2"]),
+    (["ks", "--lattice", ONETWO, "--z1", "0,1,0", "--z2", "0,0,1", "--plus", "-1,0,0",
+      "--minus", "0,1,0", "--minus", "0,0,1"],
+     ["ks", "--lattice", ONETWO, "--z1", "0,1,0", "--z2", "0,0,1", "--plus=-1,0,0",
+      "--minus", "0,1,0", "--minus", "0,0,1"]),
+    (["clifford", "--lattice", "A1", "--element", "-e{1}", "--times", "-2 + e{1}", "--invert"],
+     ["clifford", "--lattice", "A1", "--element=-e{1}", "--times=-2 + e{1}", "--invert"]),
+]
+BAD_FLAGS = [
+    (["ks", "--lattice", ONETWO, "--z", "1"], "ambiguous flag '--z'"),
+    (["clifford", "--lattice", "A1", "--element", "e{1}", "--invert=1"], "--invert takes 0 values"),
+    (["gauss", "--lattice", "A1", "--a", "1/2", "--c", "2"], "bad value for --a: '1/2'"),
+    (["theta", "--lattice", "A1", "--tau", "0.3"], "--tau takes 2 values"),
+    (["theta", "--lattice", "A1", "--tau", "0.3", "--check-transform"], "--tau takes 2 values"),
+    (["theta", "--lattice", "A1", "--tau=0.3", "0.9"], "--tau takes 2 values"),
+    (["count", "--lattice", "E8", "--t"], "--t takes 1 value"),
+    (["count", "--lattice", "--t", "2"], "--lattice takes 1 value"),
+    (["info", "--lattice", "K3", "--threads", "4"], "unknown flag '--threads'"),
+    (["info", "--lattice", "K3", "-x"], "unknown flag '-x'"),
+    (["info", "--lattice", "K3", "K3"], "unknown flag 'K3'"),
+    (["count", "--lattice", "E8", "--h", "1"], "missing --t"),
+]
+
+
+@pytest.fixture
+def onetwo(tmp_path):
+    path = tmp_path / "onetwo.json"
+    path.write_text(json.dumps({"gram": [[2, 0, 0], [0, -2, 0], [0, 0, -2]]}))
+    return lambda argv: [str(path) if w == ONETWO else w for w in argv]
+
+
+class TestFlagReader:
+    @pytest.mark.parametrize("written, spelled", FLAG_FORMS)
+    def test_same_artifact_as_spelled_out(self, capsys, onetwo, written, spelled):
+        code, out, err = invoke(capsys, *onetwo(written))
+        assert code == EXIT_OK, err
+        assert (code, out, err) == invoke(capsys, *onetwo(spelled))
+
+    @pytest.mark.parametrize("argv, message", BAD_FLAGS)
+    def test_rejected(self, capsys, onetwo, argv, message):
+        err = error_json(capsys, EXIT_INVALID, *onetwo(argv))
+        assert err == {"type": "InvalidArguments",
+                       "message": f"bad arguments for {argv[0]!r}: {message}"}
+
+    def test_leading_minus_coset(self, capsys):
+        doc = invoke_json(capsys, "count", "--lattice", "A1", "--t", "1/2", "--h", "-1/2")
+        assert doc["count"] == 2
+        assert doc["h"] == ["-1/2"]
+
+    def test_leading_minus_element(self, capsys):
+        doc = invoke_json(capsys, "clifford", "--lattice", "A1", "--element", "-e{1}")
+        assert doc["element"] == "-1*e{1}"
+        assert doc["trace"] == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--lattice", "E8", "--help"],
+        ["count", "-h", "--lattice"],
+        ["count", "--he"],
+        ["info", "--h"],  # a unique prefix of --help where no --h flag exists
+    ])
+    def test_help_anywhere(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"usage: k3cycles {argv[0]} ")
 
 
 class TestInfo:
