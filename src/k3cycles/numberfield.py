@@ -2,18 +2,21 @@
 
 A field is a monic squarefree integer polynomial all of whose roots are
 real (Sturm-verified), together with an integral basis given in the power
-basis of a root.  Element arithmetic is polynomial arithmetic mod f, so it
-is exact; the real embeddings are isolating rational intervals around the
-roots, in ascending order.  The sign of an element g at a root is one exact
-Sturm-Tarski query on its interval: the sign changes of the signed
-remainder sequence of f and f'g mod f count the roots of f there, each
-weighted by the sign of g (Basu-Pollack-Roy, Thm 2.58).  That sequence,
-and the Sturm sequence of f that isolates the roots, is kept in integers
-as a primitive pseudo-remainder sequence (Cohen, GTM 138, Sec. 3.3) whose
-terms are positive multiples of the Sturm terms, and it is evaluated at
-p/q homogeneously, as the sum of c_i p^i q^(n-i).  Reducible
-squarefree polynomials are tolerated (the arithmetic is then that of a
-product of fields), which keeps degree-1 and split test cases cheap.
+basis of a root.  Elements are integer power-basis numerators over one
+denominator, multiplied as integer polynomials reduced mod the monic f;
+each field caches the integer inverse of its integral basis and the
+structure constants of omega_k omega_l in it (Cohen, GTM 138, Sec. 4.2).
+The real embeddings are isolating rational intervals around the roots,
+ascending.  The sign of an element g at a root is one exact Sturm-Tarski
+query on its interval: the sign changes of the signed remainder sequence
+of f and f'g mod f count the roots of f there, each weighted by the sign
+of g (Basu-Pollack-Roy, Thm 2.58).  That sequence, and the Sturm sequence
+of f that isolates the roots, is kept in integers as a primitive
+pseudo-remainder sequence (Cohen, GTM 138, Sec. 3.3) whose terms are
+positive multiples of the Sturm terms, and it is evaluated at p/q
+homogeneously, as the sum of c_i p^i q^(n-i).  Reducible squarefree
+polynomials are tolerated (the arithmetic is then that of a product of
+fields), which keeps degree-1 and split test cases cheap.
 """
 
 from __future__ import annotations
@@ -22,30 +25,21 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import NotAnOrder
 
-Poly = list[Fraction]
 
-
-def _trim(p: Sequence) -> Poly:
-    out = [Fraction(c) for c in p]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The coefficients of the integer polynomial product p q."""
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _trim(out)
+    return out
 
 
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -73,11 +67,7 @@ def _int_chain(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
     sequence with the signs of the Sturm sequence); its last element is
     gcd(f, f'g) up to a scalar, so gcd(f, f') when g = 1.  f is monic."""
     deriv = [i * c for i, c in enumerate(f)][1:]
-    prod = [0] * (len(deriv) + len(g) - 1)
-    for i, a in enumerate(deriv):
-        for j, b in enumerate(g):
-            prod[i + j] += a * b
-    chain = [list(f), _int_prem(prod, f)]
+    chain = [list(f), _int_prem(_convolve(deriv, g), f)]
     while chain[-1]:
         rem = _int_prem(chain[-2], chain[-1])
         if not rem:
@@ -111,38 +101,55 @@ def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of F in power-basis coordinates (exact rationals)."""
+    """sum num[n] theta^n / den in F, den > 0 and gcd(den, *num) == 1: a
+    canonical form, so == and hash compare values; power is the Fraction
+    view."""
 
     field: TotallyRealField
-    power: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def power(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.power, other.power)))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return _reduced(self.field, [s * a + t * b for a, b in zip(self.num, other.num)], den)
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         return self + (-other)
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, tuple(-a for a in self.power))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
-            return self.field.from_power(_poly_mul(list(self.power), list(other.power)))
+            return _reduced(self.field, self.field._mod(_convolve(self.num, other.num)),
+                            self.den * other.den)
         c = Fraction(other)
-        return FieldElement(self.field, tuple(c * a for a in self.power))
+        return _reduced(self.field, [c.numerator * a for a in self.num],
+                        c.denominator * self.den)
 
     def __rmul__(self, other) -> FieldElement:
         return self * other
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.power)
+        return not any(self.num)
 
     def _check(self, other: FieldElement) -> None:
         if self.field.poly != other.field.poly:
             raise ValueError("field elements belong to different fields")
+
+
+def _reduced(field: TotallyRealField, num: Sequence[int], den: int) -> FieldElement:
+    """The element sum num[n] theta^n / den for den > 0, in lowest terms."""
+    g = math.gcd(den, *num)
+    return FieldElement(field, tuple(c // g for c in num), den // g)
 
 
 @dataclass(frozen=True)
@@ -215,60 +222,81 @@ class TotallyRealField:
         return tuple(found)
 
     @cached_property
+    def _dual(self) -> tuple[list[list[int]], int]:
+        """Integer columns N_k and den > 0 with N / den the inverse of the
+        basis matrix: power coordinates p have basis coordinates p . N_k / den."""
+        inv = linalg.inverse([list(row) for row in self.basis])
+        if inv is None:
+            raise NotAnOrder("the integral basis does not span the field")
+        den = math.lcm(*(c.denominator for row in inv for c in row))
+        return [[c.numerator * (den // c.denominator) for c in col] for col in zip(*inv)], den
+
+    @cached_property
+    def _structure(self) -> list[list[tuple[int, ...]]]:
+        """c[k][l]: the integer basis coordinates of omega_k omega_l
+        (NotAnOrder when some product leaves the span of the basis)."""
+        table = [[self._to_integral(wk * wl) for wl in self.omegas] for wk in self.omegas]
+        if any(None in row for row in table):
+            raise NotAnOrder("the integral basis is not closed under multiplication")
+        return table
+
+    @cached_property
     def omegas(self) -> tuple[FieldElement, ...]:
         """The integral basis as field elements."""
-        return tuple(FieldElement(self, row) for row in self.basis)
+        return tuple(self.from_power(row) for row in self.basis)
 
     def _validate_order(self) -> None:
         d = self.degree
-        rows = [list(r) for r in self.basis]
-        if len(rows) != d or any(len(r) != d for r in rows):
+        if len(self.basis) != d or any(len(r) != d for r in self.basis):
             raise NotAnOrder("the integral basis must be square of size degree")
-        if linalg.rank(rows) != d:
-            raise NotAnOrder("the integral basis does not span the field")
-        if self._to_integral(tuple([Fraction(1)] + [Fraction(0)] * (d - 1))) is None:
+        if self._to_integral(self.one()) is None:
             raise NotAnOrder("1 is not an integer combination of the basis")
-        for k in range(d):
-            for l in range(k, d):
-                if self._to_integral((self.omegas[k] * self.omegas[l]).power) is None:
-                    raise NotAnOrder(
-                        "the integral basis is not closed under multiplication"
-                    )
+        self._structure  # raises NotAnOrder unless closed under multiplication
 
-    def _to_integral(self, power: tuple[Fraction, ...]) -> Optional[tuple[int, ...]]:
-        """Integer coordinates against the basis, or None."""
-        coords = self.integral_coords(power)
-        if any(c.denominator != 1 for c in coords):
+    def _to_integral(self, x: FieldElement) -> Optional[tuple[int, ...]]:
+        """Integer coordinates of x against the basis, or None."""
+        cols, den = self._dual
+        den *= x.den
+        coords = [sum(map(mul, x.num, col)) for col in cols]
+        if any(c % den for c in coords):
             return None
-        return tuple(int(c) for c in coords)
+        return tuple(c // den for c in coords)
 
     def integral_coords(self, power: Sequence) -> tuple[Fraction, ...]:
         """Rational coordinates of a power-basis vector against the basis."""
-        mat = [[self.basis[k][j] for k in range(self.degree)] for j in range(self.degree)]
-        sol = linalg.solve(mat, [Fraction(c) for c in power])
-        assert sol is not None
-        return tuple(sol)
+        if len(power) != self.degree:
+            raise ValueError("coordinate vector length does not match the degree")
+        x, (cols, den) = self.from_power(power), self._dual
+        return tuple(Fraction(sum(map(mul, x.num, col)), den * x.den) for col in cols)
+
+    def _mod(self, v: list[int]) -> list[int]:
+        """v mod f for integer coefficients v, padded to length d; f is
+        monic, so this stays in integers."""
+        d, f = self.degree, self.poly
+        for top in range(len(v) - 1, d - 1, -1):
+            if c := v[top]:
+                for i in range(d):
+                    v[top - d + i] -= c * f[i]
+        return v[:d] + [0] * (d - len(v))
 
     def from_power(self, coords: Sequence) -> FieldElement:
-        v = _trim(coords)
-        while len(v) > self.degree:  # subtract top * theta^shift * f
-            top, shift = v[-1], len(v) - len(self.poly)
-            for i, c in enumerate(self.poly):
-                v[shift + i] -= top * c
-            v = _trim(v)
-        padded = tuple(v) + (Fraction(0),) * (self.degree - len(v))
-        return FieldElement(self, padded)
+        """The element sum coords[n] theta^n, for coords of any length."""
+        (nums,), (den,) = linalg._integer_rows([[Fraction(c) for c in coords]])
+        return _reduced(self, self._mod(nums), den)
 
     def element(self, coords: Sequence) -> FieldElement:
         """The element with the given coordinates against the integral basis."""
         if len(coords) != self.degree:
             raise ValueError("coordinate vector length does not match the degree")
-        power = [Fraction(0)] * self.degree
-        for c, row in zip(coords, self.basis):
-            c = Fraction(c)
-            for j in range(self.degree):
-                power[j] += c * row[j]
-        return FieldElement(self, tuple(power))
+        return sum((Fraction(c) * w for c, w in zip(coords, self.omegas)), self.zero())
+
+    def _as_element(self, x) -> FieldElement:
+        """x itself when it is an element of this field, else element(x)."""
+        if not isinstance(x, FieldElement):
+            return self.element(x)
+        if x.field.poly != self.poly:
+            raise ValueError("field elements belong to different fields")
+        return x
 
     def zero(self) -> FieldElement:
         return self.from_power([])
@@ -291,21 +319,21 @@ class TotallyRealField:
         return sums
 
     def trace(self, x: FieldElement) -> Fraction:
-        """Trace of the multiplication-by-x matrix in the power basis."""
-        return sum((c * s for c, s in zip(x.power, self._power_sums)), Fraction(0))
+        """Trace of the multiplication-by-x matrix: sum num[n] s_n / den."""
+        return Fraction(sum(map(mul, x.num, self._power_sums)), x.den)
 
     def embeddings(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Isolating intervals for the real roots, ascending."""
         return self._isolating
 
     def sign_at(self, i: int, x: FieldElement) -> int:
-        """Exact sign of x under the i-th embedding (-1, 0, or 1)."""
-        (g,), _scale = linalg._integer_rows([x.power])
+        """Exact sign of x under the i-th embedding (-1, 0, or 1), from its
+        numerators (den > 0 leaves every sign unchanged)."""
         lo, hi = self._isolating[i]
         if lo == hi:
-            v = _int_eval(g, lo)
+            v = _int_eval(x.num, lo)
             return (v > 0) - (v < 0)
-        return _count_roots(_int_chain(self.poly, g), lo, hi)
+        return _count_roots(_int_chain(self.poly, x.num), lo, hi)
 
     def to_dict(self) -> dict:
         return {

@@ -6,11 +6,12 @@ embeddings.  Twisting the trace by theta - r, for r between two roots,
 flips the sign of the embeddings below r, so the per-embedding
 signatures, and with them the admissibility shape (one embedding of
 signature (2, m), the rest (0, m+2)), come exactly from the inertia of d
-integer trace forms.  Also here: the (d, m, N) feasibility rows for
-2 <= d(m+2) <= 21 and the trace-zero lattice of a quaternion order,
-found in the integer coordinates of the order's Z-basis: one inverse
-decides membership, and each candidate O_F-basis costs one integer Gram
-determinant.
+trace forms built from the entries' integer numerators.  Also here: the
+(d, m, N) feasibility rows for 2 <= d(m+2) <= 21 and the trace-zero
+lattice of a quaternion order, found in the integer coordinates of the
+order's Z-basis: one inverse decides membership, the field's structure
+constants give the O_F-action, each candidate O_F-basis costs one integer
+Gram determinant, and quaternions multiply in the closed form of (a, b / F).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -39,37 +39,31 @@ class FeasibilityRow(NamedTuple):
 
 @dataclass(frozen=True)
 class NumberFieldLattice:
-    """A free O_F-lattice with symmetric Gram entries in F."""
+    """A free O_F-lattice with symmetric Gram entries in F, given as field
+    elements or integral-basis coordinate vectors and held as elements (an
+    element of another field raises ValueError)."""
 
     field: TotallyRealField
     gram: tuple[tuple[FieldElement, ...], ...]
 
     def __post_init__(self):
-        r = len(self.gram)
-        if any(len(row) != r for row in self.gram):
+        gram = tuple(tuple(self.field._as_element(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "gram", gram)
+        r = len(gram)
+        if any(len(row) != r for row in gram):
             raise ValueError("Gram matrix must be square")
-        for i in range(r):
-            for j in range(r):
-                if self.gram[i][j].power != self.gram[j][i].power:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(gram[i][j].power != gram[j][i].power for i in range(r) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def to_dict(self) -> dict:
-        rows = []
-        for row in self.gram:
-            out_row = []
-            for x in row:
-                coords = self.field._to_integral(x.power)
-                if coords is None:
-                    raise ValueError(
-                        "Gram entries must be O_F-integral to serialize"
-                    )
-                out_row.append(list(coords))
-            rows.append(out_row)
-        return {"field": self.field.to_dict(), "gram": rows}
+        rows = [[self.field._to_integral(x) for x in row] for row in self.gram]
+        if any(None in row for row in rows):
+            raise ValueError("Gram entries must be O_F-integral to serialize")
+        return {"field": self.field.to_dict(), "gram": [list(map(list, row)) for row in rows]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NumberFieldLattice":
@@ -81,40 +75,25 @@ class NumberFieldLattice:
         gram = data["gram"]
         if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
             raise ValueError("'gram' must be a matrix of coordinate vectors")
-        rows = []
-        for row in gram:
-            out = []
-            for entry in row:
-                if not isinstance(entry, list) or len(entry) != field.degree or not all(
-                    isinstance(c, int) and not isinstance(c, bool) for c in entry
-                ):
-                    raise ValueError(
-                        "Gram entries must be integer coordinate vectors of "
-                        "length equal to the field degree"
-                    )
-                out.append(field.element(entry))
-            rows.append(tuple(out))
-        return cls(field, tuple(rows))
+        if not all(isinstance(entry, list) and len(entry) == field.degree and all(
+                isinstance(c, int) and not isinstance(c, bool) for c in entry)
+                for row in gram for entry in row):
+            raise ValueError(
+                "Gram entries must be integer coordinate vectors of "
+                "length equal to the field degree"
+            )
+        return cls(field, tuple(map(tuple, gram)))
 
 
 def number_field_lattice(field: TotallyRealField, entries) -> NumberFieldLattice:
     """Build from a matrix of integral-basis coordinate vectors or elements."""
-    rows = []
-    for row in entries:
-        out = []
-        for x in row:
-            out.append(x if isinstance(x, FieldElement) else field.element(x))
-        rows.append(tuple(out))
-    return NumberFieldLattice(field, tuple(rows))
+    return NumberFieldLattice(field, tuple(map(tuple, entries)))
 
 
 def diagonal_lattice(field: TotallyRealField, elems: Sequence) -> NumberFieldLattice:
-    xs = [x if isinstance(x, FieldElement) else field.element(x) for x in elems]
     z = field.zero()
-    rows = tuple(
-        tuple(xs[i] if i == j else z for j in range(len(xs))) for i in range(len(xs))
-    )
-    return NumberFieldLattice(field, rows)
+    return number_field_lattice(field, [[x if i == j else z for j in range(len(elems))]
+                                        for i, x in enumerate(elems)])
 
 
 def _trace_gram(m: NumberFieldLattice, shift: int) -> tuple[list[list[int]], int]:
@@ -132,15 +111,15 @@ def _trace_gram(m: NumberFieldLattice, shift: int) -> tuple[list[list[int]], int
     field = m.field
     d = field.degree
     sums = field._power_sums[shift:]
-    den = math.lcm(*(c.denominator for row in field.basis for c in row))
-    basis = [[int(c * den) for c in row] for row in field.basis]
-    entries = {(i, j): m.gram[i][j].power for i in range(m.rank)
+    den = math.lcm(*(w.den for w in field.omegas))
+    basis = [[c * (den // w.den) for c in w.num] for w in field.omegas]
+    entries = {(i, j): m.gram[i][j] for i in range(m.rank)
                for j in range(i, m.rank) if not m.gram[i][j].is_zero}
-    eden = math.lcm(1, *(c.denominator for power in entries.values() for c in power))
+    eden = math.lcm(1, *(x.den for x in entries.values()))
     size = m.rank * d
     gram = [[0] * size for _ in range(size)]
-    for (i, j), power in entries.items():
-        coeffs = [c.numerator * (eden // c.denominator) for c in power]
+    for (i, j), x in entries.items():
+        coeffs = [c * (eden // x.den) for c in x.num]
         hankel = [sum(c * s for c, s in zip(coeffs, sums[n:])) for n in range(2 * d - 1)]
         for k in range(d):
             row = [sum(basis[k][a] * hankel[a + b] for a in range(d)) for b in range(d)]
@@ -252,7 +231,8 @@ Quaternion = tuple[FieldElement, FieldElement, FieldElement, FieldElement]
 
 @dataclass(frozen=True)
 class QuaternionAlgebra:
-    """(a, b / F): i^2 = a, j^2 = b, ij = -ji = k, in the basis 1,i,j,k."""
+    """(a, b / F): i^2 = a, j^2 = b, ij = -ji = k, so k^2 = -ab, jk = -bi and
+    ki = -aj, in the basis 1,i,j,k."""
 
     field: TotallyRealField
     a: FieldElement
@@ -261,19 +241,6 @@ class QuaternionAlgebra:
     def __post_init__(self):
         if self.a.is_zero or self.b.is_zero:
             raise ValueError("quaternion parameters a, b must be nonzero")
-
-    @cached_property
-    def _mul_table(self) -> dict:
-        one = self.field.one()
-        a, b = self.a, self.b
-        ab = a * b
-        # (m, n) -> (basis index, field factor)
-        return {
-            (0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
-            (1, 0): (1, one), (1, 1): (0, a), (1, 2): (3, one), (1, 3): (2, a),
-            (2, 0): (2, one), (2, 1): (3, -one), (2, 2): (0, b), (2, 3): (1, -b),
-            (3, 0): (3, one), (3, 1): (2, -a), (3, 2): (1, b), (3, 3): (0, -ab),
-        }
 
     def element(self, coords: Sequence[FieldElement]) -> Quaternion:
         if len(coords) != 4:
@@ -285,16 +252,11 @@ class QuaternionAlgebra:
         return (z, z, z, z)
 
     def multiply(self, x: Quaternion, y: Quaternion) -> Quaternion:
-        comps = list(self.zero())
-        for m in range(4):
-            if x[m].is_zero:
-                continue
-            for n in range(4):
-                if y[n].is_zero:
-                    continue
-                idx, factor = self._mul_table[(m, n)]
-                comps[idx] = comps[idx] + x[m] * y[n] * factor
-        return tuple(comps)
+        (x0, x1, x2, x3), (y0, y1, y2, y3), a, b = x, y, self.a, self.b
+        return (x0 * y0 + a * (x1 * y1 - b * (x3 * y3)) + b * (x2 * y2),
+                x0 * y1 + x1 * y0 + b * (x3 * y2 - x2 * y3),
+                x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
+                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
 
     def conjugate(self, x: Quaternion) -> Quaternion:
         return (x[0], -x[1], -x[2], -x[3])
@@ -328,11 +290,7 @@ def quaternion_trace_zero(
     (index 1).  The first such triple is returned as a free rank-3
     O_F-lattice (NotFreeModule when no triple of kernel vectors spans K).
     """
-    alg = QuaternionAlgebra(
-        field,
-        a if isinstance(a, FieldElement) else field.element(a),
-        b if isinstance(b, FieldElement) else field.element(b),
-    )
+    alg = QuaternionAlgebra(field, field._as_element(a), field._as_element(b))
     d = field.degree
     basis = []
     for q in order_basis:
@@ -341,9 +299,8 @@ def quaternion_trace_zero(
         basis.append(tuple(field.element(c) for c in q))
     if len(basis) != 4:
         raise NotAnOrder("an order basis must have 4 elements")
-    omegas = field.omegas
     # row s d + k: the power coordinates of omega_k e_s, component outer
-    rows = [[c for comp in e for c in (w * comp).power] for e in basis for w in omegas]
+    rows = [[c for comp in e for c in (w * comp).power] for e in basis for w in field.omegas]
     inv = linalg.inverse(rows)
     if inv is None:
         raise NotAnOrder("order basis does not span the algebra over F")
@@ -351,7 +308,8 @@ def quaternion_trace_zero(
     inv_cols = [[int(x * den) for x in col] for col in zip(*inv)]
 
     def in_order(q: Quaternion) -> bool:
-        (flat,), (scale,) = linalg._integer_rows([[c for comp in q for c in comp.power]])
+        scale = math.lcm(*(x.den for x in q))
+        flat = [c * (scale // x.den) for x in q for c in x.num]
         return all(sum(map(mul, flat, col)) % (scale * den) == 0 for col in inv_cols)
 
     if not in_order(alg.element([field.one(), field.zero(), field.zero(), field.zero()])):
@@ -366,10 +324,8 @@ def quaternion_trace_zero(
         raise NotFreeModule(
             f"trace-zero kernel has Z-rank {len(kernel)}, expected {3 * d}"
         )
-    # omega_k omega_l = sum_m mult[k][l][m] omega_m, integral in an order
-    mult = [[field._to_integral((wk * wl).power) for wl in omegas] for wk in omegas]
-    orbits = [[[sum(mk[l][m] * v[s * d + l] for l in range(d))
-                for s in range(4) for m in range(d)] for mk in mult] for v in kernel]
+    orbits = [[[sum(ck[l][m] * v[s * d + l] for l in range(d))
+                for s in range(4) for m in range(d)] for ck in field._structure] for v in kernel]
 
     def gram_det(vs: Sequence[Sequence[int]]) -> Fraction:
         return linalg.det([[sum(map(mul, x, y)) for y in vs] for x in vs])
@@ -377,11 +333,9 @@ def quaternion_trace_zero(
     full = gram_det(kernel)
     for triple in itertools.combinations(zip(kernel, orbits), 3):
         if gram_det([u for _v, orbit in triple for u in orbit]) == full:
-            chosen = []
-            for v, _orbit in triple:
-                flat = linalg.mat_mul([v], rows)[0]
-                chosen.append(tuple(FieldElement(field, tuple(flat[t * d:(t + 1) * d]))
-                                    for t in range(4)))
+            flats = linalg.mat_mul([v for v, _orbit in triple], rows)
+            chosen = [tuple(field.from_power(f[t * d:(t + 1) * d]) for t in range(4))
+                      for f in flats]
             gram = tuple(tuple(alg.pairing(x, y) for y in chosen) for x in chosen)
             return NumberFieldLattice(field, gram)
     raise NotFreeModule(

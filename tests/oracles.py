@@ -10,7 +10,9 @@ counts by one scalar dot product per candidate check, Clifford
 words normalized by adjacent rewriting, Clifford inverses from one solve
 of the full left-multiplication system on those words, the Gauss and
 Milgram sums term by term in floating point, the sign of a + b sqrt(n)
-in closed form, the trace form over a number field entry by entry
+in closed form, number field products as polynomial products reduced
+mod f, quaternion products over a number field from the 16-entry table
+of basis products, the trace form over a number field entry by entry
 through companion-matrix traces, and per-embedding signatures of a Gram
 over a number field from its entries evaluated at sympy's rational root
 approximations.  Nothing imports from the enumeration, theta, linalg,
@@ -197,6 +199,37 @@ def companion_trace(poly, x) -> Fraction:
     t^k coordinate of x t^k."""
     d = len(poly) - 1
     return sum((_mulmod(x, [0] * k + [1], poly)[k] for k in range(d)), Fraction(0))
+
+
+def _neg(p) -> list[Fraction]:
+    return [-c for c in p]
+
+
+def quaternion_product(poly, a, b, x, y) -> list[list[Fraction]]:
+    """x y in (a, b / Q[t]/(poly)), quaternions as four power-coordinate
+    vectors against 1, i, j, k: the sum over all 16 pairs of components of
+    x_m y_n times the table's factor, placed at the table's basis index."""
+    d = len(poly) - 1
+    one = [1]
+    ab = _mulmod(a, b, poly)
+    # (m, n) -> (basis index, field factor)
+    table = {
+        (0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
+        (1, 0): (1, one), (1, 1): (0, a), (1, 2): (3, one), (1, 3): (2, a),
+        (2, 0): (2, one), (2, 1): (3, _neg(one)), (2, 2): (0, b), (2, 3): (1, _neg(b)),
+        (3, 0): (3, one), (3, 1): (2, _neg(a)), (3, 2): (1, b), (3, 3): (0, _neg(ab)),
+    }
+    out = [[Fraction(0)] * d for _ in range(4)]
+    for (m, n), (idx, factor) in table.items():
+        term = _mulmod(_mulmod(x[m], y[n], poly), factor, poly)
+        out[idx] = [u + v for u, v in zip(out[idx], term)]
+    return out
+
+
+def quaternion_pairing(poly, a, b, x, y) -> list[Fraction]:
+    """tr_red(x conj(y)) = 2 (x conj(y))_0 in power coordinates."""
+    conj = [y[0]] + [_neg(comp) for comp in y[1:]]
+    return [2 * c for c in quaternion_product(poly, a, b, x, conj)[0]]
 
 
 def trace_form(poly, basis, gram) -> list[list[int]]:

@@ -178,6 +178,11 @@ class TestIntegralCoords:
             back = GOLDEN.integral_coords(x.power)
             assert back == tuple(Fraction(c) for c in coords)
 
+    def test_wrong_length_rejected(self):
+        # (1, 0, 5) is 1 + 5 theta^2 = 11, not (1, 0): the length must match
+        with pytest.raises(ValueError, match="length"):
+            SQRT2.integral_coords((1, 0, 5))
+
     def test_power_basis_identity(self):
         x = SQRT2.element((3, -2))
         assert x.power == (Fraction(3), Fraction(-2))
@@ -301,3 +306,51 @@ def test_integer_sturm_signs_match_sympy(poly):
         x = linear[c1] * linear[c2]
         signs = [a * b for a, b in zip(want[c1], want[c2])]
         assert [field.sign_at(i, x) for i in range(field.degree)] == signs
+
+
+QUINTIC = TotallyRealField((1, 3, -3, -4, 1, 1))  # 2cos(2pi/11)
+SEPTIC = TotallyRealField((1, -4, -4, 10, 4, -6, -1, 1))
+# x^3 - x with the idempotent (t + t^2)/2: reducible, a non-power order
+IDEMPOTENT = TotallyRealField(
+    (0, -1, 0, 1), ((1, 0, 0), (0, 1, 0), (0, Fraction(1, 2), Fraction(1, 2))))
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def element_pairs(draw):
+    """A field, two elements with their power coordinates worked out
+    without numberfield (from integral-basis coordinates, or power
+    coordinates of any length reduced by the oracle), and a scalar."""
+    field = draw(st.sampled_from((SQRT2, CUBIC, QUINTIC, SEPTIC, GOLDEN, IDEMPOTENT)))
+    d = field.degree
+
+    def one_element():
+        if draw(st.booleans()):
+            coords = draw(st.lists(FRACTIONS, min_size=d, max_size=d))
+            power = [sum((c * row[j] for c, row in zip(coords, field.basis)), Fraction(0))
+                     for j in range(d)]
+            return field.element(coords), power
+        coords = draw(st.lists(FRACTIONS, max_size=2 * d))
+        return field.from_power(coords), oracles._mulmod(coords, [1], field.poly)
+
+    return field, one_element(), one_element(), draw(FRACTIONS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_arithmetic_matches_oracle(case):
+    field, (x, px), (y, py), c = case
+    poly, d = field.poly, field.degree
+    for z, pz in ((x, px), (y, py)):
+        assert list(z.power) == pz
+        assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+    assert list((x + y).power) == [a + b for a, b in zip(px, py)]
+    assert list((x - y).power) == [a - b for a, b in zip(px, py)]
+    assert list((x * y).power) == oracles._mulmod(px, py, poly)
+    assert list((c * x).power) == list((x * c).power) == [c * a for a in px]
+    assert field.trace(x) == oracles.companion_trace(poly, px)
+    coords = field.integral_coords(x.power)
+    assert [sum(k * row[j] for k, row in zip(coords, field.basis)) for j in range(d)] == px
+    # equal values built by different routes are equal and hash alike
+    for z in (field.from_power(px), field.element(coords), (x + y) - y, x * field.one(), -(-x)):
+        assert z == x and hash(z) == hash(x)

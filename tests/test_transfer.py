@@ -47,20 +47,26 @@ def standard_order(d):
     return [[[int(t == s and c == 0) for c in range(d)] for t in range(4)] for s in range(4)]
 
 
+def power_coords(field, coords):
+    """Power coordinates of the element with the given integral-basis
+    coordinates, as a plain Fraction combination of the basis rows."""
+    return [sum(c * row[j] for c, row in zip(coords, field.basis)) for j in range(field.degree)]
+
+
 def trace_zero_gram(field, a, b, order):
     """tr_{F/Q} tr_red(x conj(y)) on the integer kernel Z-basis of the
-    trace-zero part of the order with Z-basis omega_k e_s."""
-    alg = QuaternionAlgebra(field, field.element(a), field.element(b))
-    zs = [tuple(w * field.element(c) for c in e) for e in order for w in field.omegas]
-    rows = [[z[0].power[r] for z in zs] for r in range(field.degree)]
+    trace-zero part of the order with Z-basis omega_k e_s, on power
+    coordinates through the oracle's quaternion products and traces."""
+    poly, d = field.poly, field.degree
+    pa, pb = power_coords(field, a), power_coords(field, b)
+    zs = [[oracles._mulmod(w, power_coords(field, c), poly) for c in e]
+          for e in order for w in field.basis]
+    rows = [[z[0][r] for z in zs] for r in range(d)]
     scaled = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in rows]
-    quats = []
-    for v in linalg.integer_kernel(scaled, cols=len(zs)):
-        q = alg.zero()
-        for c, z in zip(v, zs):
-            q = tuple(x + c * y for x, y in zip(q, z))
-        quats.append(q)
-    return [[field.trace(alg.pairing(x, y)) for y in quats] for x in quats]
+    quats = [[[sum(c * z[t][j] for c, z in zip(v, zs)) for j in range(d)] for t in range(4)]
+             for v in linalg.integer_kernel(scaled, cols=len(zs))]
+    return [[oracles.companion_trace(poly, oracles.quaternion_pairing(poly, pa, pb, x, y))
+             for y in quats] for x in quats]
 
 
 class TestTraceLattice:
@@ -259,7 +265,7 @@ class TestQuaternion:
             s, t = rng.sample(range(4), 2)
             c = field.element([rng.randint(-2, 2) for _ in range(d)])
             order[s] = [x + c * y for x, y in zip(order[s], order[t])]
-        order = [[field._to_integral(x.power) for x in e] for e in order]
+        order = [[field._to_integral(x) for x in e] for e in order]
         m = quaternion_trace_zero(field, a, b, order)
         want = abs(oracles.det(trace_zero_gram(field, a, b, order)))
         assert abs(trace_lattice(m).det) == want > 0
@@ -299,6 +305,27 @@ class TestQuaternion:
                 == alg.reduced_trace(alg.multiply(y, x)).power
             )
 
+    @pytest.mark.parametrize("field", [SQRT2, CUBIC, GOLDEN], ids=["sqrt2", "cubic", "golden"])
+    def test_product_and_pairing_match_oracle(self, field):
+        rng = random.Random(field.degree)
+        d = field.degree
+
+        def rand_element(nonzero=False):
+            while True:
+                coords = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(d)]
+                if any(coords) or not nonzero:
+                    return field.element(coords)
+
+        for _ in range(20):
+            alg = QuaternionAlgebra(field, rand_element(True), rand_element(True))
+            pa, pb = list(alg.a.power), list(alg.b.power)
+            x, y = (alg.element([rand_element() for _ in range(4)]) for _ in range(2))
+            px, py = ([list(c.power) for c in q] for q in (x, y))
+            want = oracles.quaternion_product(field.poly, pa, pb, px, py)
+            assert [list(c.power) for c in alg.multiply(x, y)] == want
+            assert list(alg.pairing(x, y).power) == oracles.quaternion_pairing(
+                field.poly, pa, pb, px, py)
+
     def test_pure_quaternions_have_zero_trace(self):
         alg = QuaternionAlgebra(RATIONALS, RATIONALS.element((-1,)), RATIONALS.element((-1,)))
         for t in (1, 2, 3):
@@ -306,6 +333,29 @@ class TestQuaternion:
                 RATIONALS.one() if s == t else RATIONALS.zero() for s in range(4)
             ])
             assert alg.reduced_trace(q).is_zero
+
+
+class TestForeignElements:
+    """An element of another field raises ValueError at every entry point."""
+
+    def test_lattice_constructor(self):
+        with pytest.raises(ValueError, match="different fields"):
+            trace_lattice(NumberFieldLattice(SQRT2, ((SQRT3.element((1, 1)),),)))
+
+    def test_number_field_lattice(self):
+        with pytest.raises(ValueError, match="different fields"):
+            number_field_lattice(SQRT2, [[[1, 0], SQRT3.gen()], [SQRT3.gen(), [1, 0]]])
+
+    def test_diagonal_lattice(self):
+        with pytest.raises(ValueError, match="different fields"):
+            diagonal_lattice(SQRT2, [[0, 1], SQRT3.element((1, 1))])
+
+    @pytest.mark.parametrize("slot", ["a", "b"])
+    def test_quaternion_parameters(self, slot):
+        order = tuple(tuple((1, 0) if t == s else (0, 0) for t in range(4)) for s in range(4))
+        params = {"a": (-1, 0), "b": (-1, 0), slot: SQRT3.element((-1, 0))}
+        with pytest.raises(ValueError, match="different fields"):
+            quaternion_trace_zero(SQRT2, params["a"], params["b"], order)
 
 
 class TestSerialization:
