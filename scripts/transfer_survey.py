@@ -10,7 +10,9 @@ their known values, ((0, 2), (2, 0)), ((3, 0),) and (0, 3) six times
 then (2, 1); the witness must also be admissible with trace signature
 (2, 19).  The table is compared with the recorded
 tests/data/feasibility_table.csv; any mismatch is printed and the script
-exits with status 1.
+exits with status 1.  stdout is reproducible (it is recorded in
+tests/data/transfer_survey_expected.txt); the time the witness's
+trace-zero lattice took goes to stderr.
 
 Usage: python3 scripts/transfer_survey.py
 """
@@ -85,8 +87,8 @@ def main():
 
     witness, seconds = septic_witness()
     want = ((0, 3),) * 6 + ((2, 1),)
-    ok &= show_form(f"\nm = 1 witness at d = 7 ({seconds:.2f} s for the trace-zero lattice):",
-                    witness, want)
+    print(f"trace-zero lattice of the d = 7 witness: {seconds:.2f} s", file=sys.stderr)
+    ok &= show_form("\nm = 1 witness at d = 7:", witness, want)
     sig = tuple(signature(trace_lattice(witness)))
     if not ks_admissible(witness) or sig != (2, 19):
         print(f"  expected admissible with signature (2, 19), got {sig}")

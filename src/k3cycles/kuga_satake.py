@@ -6,8 +6,8 @@ usual complex structure, but every symmetry, commutation, and definiteness
 statement below is invariant under that positive rescaling, so the whole
 certification runs in exact rational arithmetic.  The polarization form is
 <x, y> = trace(a x y^iota) for a = a1 a2 built from an orthogonal basis of
-the negative definite rank-2 summand.  ks_report builds it and <x j, y> on
-the monomial basis from their nonzero entries only, in integers.
+the negative definite rank-2 summand (van Geemen 2000).  ks_report builds
+it and <x j, y> on the monomial basis, in integers, as parity blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Sequence
 from . import clifford, linalg
 from .clifford import CliffordElement
 from .errors import (
+    AmbientMismatch,
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
@@ -31,8 +32,8 @@ from .lattice import Lattice, Vector, as_vector, signature
 
 Splitting = tuple[Sequence[Sequence], Sequence[Sequence]]
 
-# On a 2-core x86 VM ks_report takes 0.1-0.7 s at rank 9; at rank 10 it takes
-# 0.2 s (diagonal), 1.3-1.5 s (A8 + two <-2>), 5.5-8.4 s (sheared), ~100 MB.
+# On a 2-core x86 VM ks_report takes 0.1-0.4 s at rank 9; at rank 10 it takes
+# 0.2 s (diagonal), 0.6 s (A8 + two <-2>), 0.3-3.1 s (sheared), at most 63 MB.
 KS_RANK_CAP = 10
 
 
@@ -55,11 +56,12 @@ class PeriodPlane:
 
 @dataclass(frozen=True)
 class KSReport:
-    """Exact certification data for the torus attached to a period plane."""
+    """Certification data for the torus of a period plane; riemann_blocks[p]
+    is <x j, y> times a.den * j.den on the monomials of parity p, in mask
+    order.  symmetric_ok is always True: an asymmetric form raises instead."""
 
-    j: CliffordElement
     j_square_scalar: Fraction
-    riemann_gram: tuple[tuple[Fraction, ...], ...]
+    riemann_blocks: tuple[list[list[int]], ...]
     alternating_ok: bool
     symmetric_ok: bool
     definite: bool
@@ -164,16 +166,15 @@ def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
 def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     """Assemble and certify the full polarization package for a plane.
 
-    Builds the 2^rank x 2^rank matrices of <x,y> = trace(a x y^iota) and
-    <x j, y> over the monomial basis, then checks exactly: the first is
-    antisymmetric, the second symmetric with definite inertia (up to the
-    global sign fixed by orientation).  The forms run on the integer
-    numerators of a and j, a positive rescaling that riemann_gram divides
-    out.  Entry (s, t) sums over u the coefficient of e_u in a e_s (or
-    a e_s j) times tau(e_u rev(e_t)); a depth-first walk over t pushes that
-    column, sparse, through transposed tables into both forms and into the
-    column of t + 2^i.  a and j are even, so the inertia sums over the two
-    parity blocks, once no entry is found to join them.
+    Builds <x,y> = trace(a x y^iota) and <x j, y> over the monomial basis
+    on the integer numerators of a and j, then checks exactly: the first is
+    antisymmetric, the second symmetric (linalg.inertia raises otherwise)
+    with definite inertia, up to the global sign fixed by orientation.
+    Entry (s, t) sums over u the coefficient of e_u in a e_s (or a e_s j)
+    times tau(e_u rev(e_t)); a depth-first walk over t pushes that column,
+    sparse, through transposed tables into both forms and into the column
+    of t + 2^i.  a and j are even, so each form is written once, into its
+    even and odd blocks; an entry joining them raises ValueError.
     """
     sig = signature(lat)
     if sig.neg != 2:
@@ -185,6 +186,8 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
             f"certification builds 2^{lat.rank} x 2^{lat.rank} forms; rank is "
             f"capped at {KS_RANK_CAP}"
         )
+    if z.ambient.gram != lat.gram:
+        raise AmbientMismatch("the period plane lies in another lattice")
     a_el, (j_el, j_square) = polarizer(lat, splitting), j_element(z)
     a, j = dict(a_el.nums), dict(j_el.nums)
     table = clifford._table(lat.gram)
@@ -207,31 +210,26 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     xs = [table.product(a, {s: 1}) for s in range(n)]
     ae, aej = transposed(xs), transposed(table.product(x, j) for x in xs)
     gens = [transposed(table.gen(u, i) for u in range(n)) for i in range(lat.rank)]
-    alt, sym = {}, {}
+    # column t: row t >> 1 of block parity(t), entry s at s >> 1 (2k, 2k + 1 differ in parity)
+    alt, sym = [[None] * (n // 2) for _ in (0, 1)], [[None] * (n // 2) for _ in (0, 1)]
     stack = [(0, {m: x for m in range(n) if (x := table.tau(m))})]
     while stack:
         t, col = stack.pop()
-        alt[t], sym[t] = push(col, ae), push(col, aej)
+        for blocks, tr in ((alt, ae), (sym, aej)):
+            row = [0] * (n // 2)
+            for s, x in push(col, tr).items():
+                if (s ^ t).bit_count() & 1:
+                    raise ValueError("the symmetric form joins even and odd monomials")
+                row[s >> 1] = x
+            blocks[t.bit_count() & 1][t >> 1] = row
         stack += [(t | 1 << i, push(col, gens[i])) for i in range(t.bit_length(), lat.rank)]
-    alternating_ok = all(alt[s].get(t) == -x for t, c in alt.items() for s, x in c.items())
-    symmetric_ok = all(sym[s].get(t) == x for t, c in sym.items() for s, x in c.items())
-    # masks 2k and 2k + 1 differ in parity, so k indexes both blocks
-    zero = Fraction(0)
-    gram = [[zero] * n for _ in range(n)]
-    blocks = [[[0] * (n // 2) for _ in range(n // 2)] for _ in (0, 1)]
-    for t, c in sym.items():
-        for s, x in c.items():
-            if bin(s ^ t).count("1") & 1:
-                raise ValueError("the symmetric form joins even and odd monomials")
-            blocks[bin(t).count("1") & 1][s >> 1][t >> 1] = x
-            gram[s][t] = Fraction(x, a_el.den * j_el.den)
-    inertia = tuple(map(sum, zip(*map(linalg.inertia, blocks))))
+    alternating_ok = all(row == [-x for x in col] for b in alt for row, col in zip(b, zip(*b)))
+    inertia = tuple(map(sum, zip(*map(linalg.inertia, sym))))
     return KSReport(
-        j=j_el,
         j_square_scalar=j_square,
-        riemann_gram=tuple(map(tuple, gram)),
+        riemann_blocks=tuple(sym),
         alternating_ok=alternating_ok,
-        symmetric_ok=symmetric_ok,
+        symmetric_ok=True,
         definite=inertia in ((n, 0, 0), (0, n, 0)),
         inertia=inertia,
         torus_dim=n,

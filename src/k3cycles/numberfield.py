@@ -102,8 +102,8 @@ def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
 @dataclass(frozen=True)
 class FieldElement:
     """sum num[n] theta^n / den in F, den > 0 and gcd(den, *num) == 1: a
-    canonical form, so == and hash compare values; power is the Fraction
-    view."""
+    canonical form, so == and hash compare values and, like the arithmetic,
+    the field's polynomial but not its basis; power is the Fraction view."""
 
     field: TotallyRealField
     num: tuple[int, ...]
@@ -140,6 +140,14 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return (self.field.poly, self.num, self.den) == (other.field.poly, other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.field.poly, self.num, self.den))
 
     def _check(self, other: FieldElement) -> None:
         if self.field.poly != other.field.poly:

@@ -52,7 +52,7 @@ class NumberFieldLattice:
         r = len(gram)
         if any(len(row) != r for row in gram):
             raise ValueError("Gram matrix must be square")
-        if any(gram[i][j].power != gram[j][i].power for i in range(r) for j in range(i)):
+        if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
 
     @property
@@ -232,13 +232,15 @@ Quaternion = tuple[FieldElement, FieldElement, FieldElement, FieldElement]
 @dataclass(frozen=True)
 class QuaternionAlgebra:
     """(a, b / F): i^2 = a, j^2 = b, ij = -ji = k, so k^2 = -ab, jk = -bi and
-    ki = -aj, in the basis 1,i,j,k."""
+    ki = -aj, in the basis 1,i,j,k; a and b go through field._as_element."""
 
     field: TotallyRealField
     a: FieldElement
     b: FieldElement
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, self.field._as_element(getattr(self, name)))
         if self.a.is_zero or self.b.is_zero:
             raise ValueError("quaternion parameters a, b must be nonzero")
 
@@ -246,10 +248,6 @@ class QuaternionAlgebra:
         if len(coords) != 4:
             raise ValueError("a quaternion needs 4 components")
         return tuple(coords)
-
-    def zero(self) -> Quaternion:
-        z = self.field.zero()
-        return (z, z, z, z)
 
     def multiply(self, x: Quaternion, y: Quaternion) -> Quaternion:
         (x0, x1, x2, x3), (y0, y1, y2, y3), a, b = x, y, self.a, self.b
@@ -290,7 +288,7 @@ def quaternion_trace_zero(
     (index 1).  The first such triple is returned as a free rank-3
     O_F-lattice (NotFreeModule when no triple of kernel vectors spans K).
     """
-    alg = QuaternionAlgebra(field, field._as_element(a), field._as_element(b))
+    alg = QuaternionAlgebra(field, a, b)
     d = field.degree
     basis = []
     for q in order_basis:

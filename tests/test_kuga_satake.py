@@ -1,6 +1,5 @@
 """Period planes, polarizers, and torus certification reports."""
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +9,7 @@ import pytest
 import oracles
 from k3cycles import clifford, kuga_satake, linalg
 from k3cycles.errors import (
+    AmbientMismatch,
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
@@ -39,6 +39,19 @@ THREE_TWO = Lattice((
     (0, 0, 0, 0, -2),
 ))
 CASES = (ONE_TWO, TWO_TWO, THREE_TWO)
+
+
+def form_scale(lat, splitting, plane):
+    """a.den * j.den: the factor between <x j, y> and riemann_blocks."""
+    return polarizer(lat, splitting).den * j_element(plane)[0].den
+
+
+def full_form(report):
+    """The 2^rank x 2^rank matrix rebuilt from the two parity blocks."""
+    n = report.torus_dim
+    par = [m.bit_count() & 1 for m in range(n)]
+    return [[report.riemann_blocks[par[s]][s >> 1][t >> 1] if par[s] == par[t] else 0
+             for t in range(n)] for s in range(n)]
 
 
 def tail_plane(lat):
@@ -118,9 +131,8 @@ class TestReport:
             assert report.torus_dim == n
             assert report.complex_dim * 2 == n
             assert report.j_square_scalar == -4
-            assert all(
-                v.denominator == 1 for row in report.riemann_gram for v in row
-            )
+            scale = form_scale(lat, default_splitting(lat), tail_plane(lat))
+            assert all(x % scale == 0 for row in full_form(report) for x in row)
 
     def test_rejects_wrong_signature(self):
         with pytest.raises(UnsupportedSignature):
@@ -129,6 +141,19 @@ class TestReport:
                 (((1, 0),), ((0, 1),)),
                 None,
             )
+
+    def test_plane_of_another_lattice_raises_before_clifford_work(self, monkeypatch):
+        lat = Lattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
+        other = Lattice(((4, 0, 0, 0), (0, 6, 0, 0), (0, 0, -2, 0), (0, 0, 0, -4)))
+        splitting, plane = default_splitting(lat), tail_plane(other)
+
+        def no_clifford(*_args, **_kwargs):
+            raise AssertionError("Clifford work started on a foreign plane")
+
+        for name in ("element", "multiply", "main_involution", "trace", "_table"):
+            monkeypatch.setattr(clifford, name, no_clifford)
+        with pytest.raises(AmbientMismatch):
+            ks_report(lat, splitting, plane)
 
     def test_rank_cap_raises_before_clifford_work(self, monkeypatch):
         n = kuga_satake.KS_RANK_CAP + 1
@@ -229,7 +254,8 @@ def test_report_matches_entrywise_oracle(seed, rank):
     report = ks_report(lat, splitting, plane)
     alt, sym = oracles.ks_forms(lat, polarizer(lat, splitting), j_element(plane)[0])
     n = 1 << rank
-    assert report.riemann_gram == tuple(tuple(row) for row in sym)
+    scale = form_scale(lat, splitting, plane)
+    assert full_form(report) == [[x * scale for x in row] for row in sym]
     assert report.alternating_ok == all(
         alt[s][t] == -alt[t][s] for s in range(n) for t in range(n))
     assert report.symmetric_ok == all(
@@ -243,9 +269,7 @@ def test_report_matches_entrywise_oracle(seed, rank):
 def test_block_inertia_matches_full_form_at_rank_8(seed):
     lat, splitting, plane = ks_draw(seed, 8)
     report = ks_report(lat, splitting, plane)
-    scale = math.lcm(*(x.denominator for row in report.riemann_gram for x in row))
-    full = [[int(x * scale) for x in row] for row in report.riemann_gram]
-    assert report.inertia == linalg.inertia(full)
+    assert report.inertia == linalg.inertia(full_form(report))
     assert report.alternating_ok and report.symmetric_ok and report.definite
 
 

@@ -84,6 +84,14 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             SQRT2.gen() * SQRT5.gen()
 
+    def test_equality_ignores_integral_basis(self):
+        # the same value over two integral bases of Q(sqrt 5) is one key
+        x, y = SQRT5.gen(), GOLDEN.gen()
+        assert (x - y).is_zero
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, SQRT5.one(), GOLDEN.one()}) == 2
+        assert x != SQRT2.gen() and x != SQRT5.one()
+
 
 class TestTrace:
     def test_quadratic_traces(self):

@@ -357,6 +357,16 @@ class TestForeignElements:
         with pytest.raises(ValueError, match="different fields"):
             quaternion_trace_zero(SQRT2, params["a"], params["b"], order)
 
+    @pytest.mark.parametrize("slot", ["a", "b"])
+    def test_quaternion_algebra(self, slot):
+        params = {"a": SQRT2.gen(), "b": SQRT2.one(), slot: SQRT3.gen()}
+        with pytest.raises(ValueError, match="different fields"):
+            QuaternionAlgebra(SQRT2, params["a"], params["b"])
+
+    def test_quaternion_algebra_converts_parameters(self):
+        alg = QuaternionAlgebra(SQRT2, (0, 1), (1, 0))
+        assert (alg.a, alg.b) == (SQRT2.gen(), SQRT2.one())
+
 
 class TestSerialization:
     def test_round_trip(self):
