@@ -12,11 +12,13 @@ the last level instead of scanning it.
 
 A node's subtree depends only on the norm left to spend and on the
 linear terms of the levels below it, each taken modulo its level's step
-(a shift by the step re-indexes that level), so the sweep walks the
-levels above the last breadth-first over these reduced states and merges
-equal ones into a multiplicity.  Past MERGE_STATE_CAP states in one
-frontier, and whenever vectors are kept, the depth-first recursion
-finishes the walk.  The last level is a loop that fills the result, a
+(a shift by the step re-indexes that level), so the sweep is one
+recursion over batches of these reduced states, equal ones merged into a
+multiplicity: the children of a batch wait, reduced, in the next one.
+Once a batch holds MERGE_STATE_CAP states, and whenever vectors are kept,
+the same recursion goes on with merging off, each state's children a
+batch of their own and, when vectors are kept, each state carrying its
+chosen coordinates.  The last level is a loop that fills the result, a
 histogram of the integer norms plus the vectors of the norms the caller
 asked to keep.  The K3CYCLES_ENUM_LIMIT budget is charged one unit per
 node of the unmerged tree, a merged state paying its multiplicity, so a
@@ -64,7 +66,7 @@ from .lattice import Lattice, Vector, as_vector
 
 ENUM_LIMIT_ENV = "K3CYCLES_ENUM_LIMIT"
 _DEFAULT_LIMIT = 10_000_000
-MERGE_STATE_CAP = 1 << 10  # states in one breadth-first frontier
+MERGE_STATE_CAP = 1 << 10  # states in one merged batch
 
 
 def _enum_limit() -> int:
@@ -140,16 +142,18 @@ def _sweep(
     step_i = a_ii D and b_i = a_ii h_i + sum_{j>i} a_ij X_j.  A subtree
     depends only on the norm left and b_0..b_i, and replacing b_i by
     b_i - q step_i and each b_j, j < i, by b_j - q a_ji D only re-indexes
-    m_i by q.  So the levels down to 1 are walked breadth-first over
-    states (left, b_0..b_i, zero) -> multiplicity, the terms reduced into
-    [0, step_j) from the top down so that equal subtrees merge.  A state
-    charges the budget its children times its multiplicity, and level 0
-    adds a pair times it to hist.  Once the next frontier holds
-    MERGE_STATE_CAP states, it and the rest of the current level are
-    finished by the depth-first recursion, started from each state's
-    terms; a sweep that keeps vectors needs their coordinates, so it
-    recurses from the root.  Every window is an exact isqrt; in exact
-    mode the last level solves W_0 y^2 = left instead of scanning.
+    m_i by q.  walk(i, states, merge) expands a batch of states
+    (left, b_0..b_i, zero, chosen X) -> multiplicity at level i; each
+    state charges the budget its children times its multiplicity.  With
+    merge on, every child waits in the next batch, its terms reduced
+    into [0, step_j) from the top down so that equal subtrees merge; once
+    that batch holds MERGE_STATE_CAP states, it and the rest of the level
+    are walked at once with merge off, each state's children as a batch
+    of their own.  A sweep that keeps vectors walks with merge off from
+    the root, each state carrying its chosen coordinates.  Level 0 is a
+    plain loop, never merged, that adds a pair times the multiplicity to
+    hist.  Every window is an exact isqrt; in exact mode level 0 solves
+    W_0 y^2 = left instead of scanning.
 
     On the trivial coset each +-pair is visited once and counted twice
     (kept gets both vectors), and the zero vector once: the all-zero
@@ -170,78 +174,64 @@ def _sweep(
     if budget is None:
         budget = _Budget(_enum_limit())
     budget.spend()
-    xs = [0] * n
     pair = 2 if symmetric else 1
-    base = [row[i] * h for i, (row, h) in enumerate(zip(rows, lift))]
-    mult, frontier = 1, {}
+    steps = [row[i] * den for i, row in enumerate(rows)]
+    cols = [[row[i] for row in rows[:i]] for i in range(n)]
 
-    def rec(i: int, left: int, b: int, zero: bool):
-        # y = e_i X_i + sum_{j>i} a_ij X_j = step * m + b for X_i = h + den * m
-        w, step = weights[i], rows[i][i] * den
-        if exact and i == 0:
-            q, rest = divmod(left, w)
-            r = math.isqrt(q)
-            roots = () if rest or r * r != q else (-r, r) if r else (0,)
-            ms = [(y - b) // step for y in roots if (y - b) % step == 0]
-        else:
-            r = math.isqrt(left // w)
-            ms = range(-((r + b) // step), (r - b) // step + 1)
-        if zero:
-            ms = [m for m in ms if m >= 0]
-        budget.spend(len(ms) * mult)
-        if i == 0:
-            spent, add = top - left, pair * mult
+    def walk(i: int, states, merge: bool):
+        # y = step * m + b for X_i = h + den * m
+        w, step, h, col = weights[i], steps[i], lift[i], cols[i]
+        batch: dict = {}
+        for (left, bs, zero, xs), mult in states:
+            b = bs[i]
+            if exact and not i:
+                q, rest = divmod(left, w)
+                r = math.isqrt(q)
+                roots = () if rest or r * r != q else (-r, r) if r else (0,)
+                ms = [(y - b) // step for y in roots
+                      if (y - b) % step == 0 and (y >= b or not zero)]
+            else:
+                r = math.isqrt(left // w)
+                lo = -((r + b) // step)
+                ms = range(max(lo, 0) if zero else lo, (r - b) // step + 1)
+            if not ms:
+                continue
+            budget.spend(len(ms) * mult)
+            if not i:
+                spent, add = top - left, pair * mult
+                for m in ms:
+                    y = step * m + b
+                    t = spent + w * y * y
+                    hist[t] = hist.get(t, 0) + add
+                    if t in kept:
+                        x = [h + den * m, *xs]
+                        kept[t] += [x, [-v for v in x]] if symmetric and t else [x]
+                continue
+            kids = []
             for m in ms:
-                y = step * m + b
-                t = spent + w * y * y
-                hist[t] = hist.get(t, 0) + add
-                if t in kept:
-                    xs[0] = lift[0] + den * m
-                    kept[t] += [xs[:], [-v for v in xs]] if symmetric and t else [xs[:]]
-            return
-        h, row = lift[i], rows[i - 1]
-        c = base[i - 1] + row[i] * h + sum(map(mul, row[i + 1:], xs[i + 1:]))
-        dc = row[i] * den
-        for m in ms:
-            y = step * m + b
-            xs[i] = h + den * m
-            child(i - 1, left - w * y * y, c + dc * m, zero and xs[i] == 0)
-
-    def merge(i: int, left: int, b: int, zero: bool):
-        # a child of a merged state joins the next frontier, reduced
-        x = xs[i + 1]
-        bs = [v + r[i + 1] * x for v, r in zip(base[:i + 1], rows)]
-        for j in range(i, -1, -1):
-            q = bs[j] // (rows[j][j] * den)
-            if q:
-                bs[:j + 1] = [v - q * den * r[j] for v, r in zip(bs[:j + 1], rows)]
-        key = (left, tuple(bs), zero)
-        frontier[key] = frontier.get(key, 0) + mult
-
-    def start(i: int, state):
-        nonlocal mult
-        (left, bs, zero), mult = state
-        xs[i + 1:] = [0] * (n - 1 - i)
-        base[:i + 1] = bs
-        rec(i, left, bs[i], zero)
+                x, y = h + den * m, step * m + b
+                terms = [v + a * x for v, a in zip(bs, col)]
+                if not merge:
+                    kids.append(((left - w * y * y, terms, zero and not x,
+                                  (x, *xs) if keep else ()), mult))
+                    continue
+                for j in range(i - 1, -1, -1):  # reduced, so that equal subtrees share a key
+                    q = terms[j] // steps[j]
+                    if q:
+                        terms[:j + 1] = [v - q * den * r[j] for v, r in zip(terms, rows[:j + 1])]
+                key = (left - w * y * y, tuple(terms), zero and not x, ())
+                batch[key] = batch.get(key, 0) + mult
+            if not merge:
+                walk(i - 1, kids, False)
+            elif len(batch) >= MERGE_STATE_CAP:
+                walk(i - 1, batch.items(), False)
+                batch, merge = {}, False
+        if batch:
+            walk(i - 1, batch.items(), i > 2)
 
     if n:
-        level, states = n - 1, iter([((top, tuple(base), symmetric), 1)])
-        child = rec if keep else merge
-        while level > 1 and child is merge:  # a level-0 node costs less than a merge
-            frontier = {}
-            for state in states:
-                start(level, state)
-                if len(frontier) >= MERGE_STATE_CAP:
-                    child = rec
-                    for merged in frontier.items():
-                        start(level - 1, merged)
-                    break
-            else:
-                level, states = level - 1, iter(frontier.items())
-        child = rec
-        for state in states:
-            start(level, state)
+        base = [row[i] * h for i, (row, h) in enumerate(zip(rows, lift))]
+        walk(n - 1, [((top, base, symmetric, ()), 1)], n > 2 and not keep)
     elif not (exact and top):
         hist[0] = 1
         kept.get(0, []).append([])

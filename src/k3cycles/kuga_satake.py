@@ -58,10 +58,11 @@ class PeriodPlane:
 class KSReport:
     """Certification data for the torus of a period plane; riemann_blocks[p]
     is <x j, y> times a.den * j.den on the monomials of parity p, in mask
-    order.  symmetric_ok is always True: an asymmetric form raises instead."""
+    order, as tuple rows so that the report hashes.  symmetric_ok is
+    always True: an asymmetric form raises instead."""
 
     j_square_scalar: Fraction
-    riemann_blocks: tuple[list[list[int]], ...]
+    riemann_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     alternating_ok: bool
     symmetric_ok: bool
     definite: bool
@@ -227,7 +228,7 @@ def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
     inertia = tuple(map(sum, zip(*map(linalg.inertia, sym))))
     return KSReport(
         j_square_scalar=j_square,
-        riemann_blocks=tuple(sym),
+        riemann_blocks=tuple(tuple(map(tuple, block)) for block in sym),
         alternating_ok=alternating_ok,
         symmetric_ok=True,
         definite=inertia in ((n, 0, 0), (0, n, 0)),

@@ -231,7 +231,12 @@ def nikulin_embeddable(lat: Lattice) -> EmbeddingReport:
 
     Signature (2, n): occurs whenever n <= 9, uniquely when n < 9.
     Signature (1, n'): occurs whenever n' <= 10, uniquely when n' < 10.
-    Outside those ranges the criteria are silent and both answers are None.
+    Outside those ranges it does not occur (occurs False, unique None)
+    when n or n' exceeds 19, or when rank + l(A_L) > 22 for l the number of invariant
+    factors of the discriminant group: a primitive T in the K3 lattice
+    has A_T isomorphic to the discriminant group of its complement
+    (Nikulin 1980, Prop. 1.6.1), so l(A_T) <= 22 - rank T.  Otherwise the
+    criteria are silent and both answers are None.
     """
     if not lat.even:
         raise UnsupportedSignature("criterion applies to even lattices only")
@@ -245,6 +250,9 @@ def nikulin_embeddable(lat: Lattice) -> EmbeddingReport:
     else:
         raise UnsupportedSignature(
             "criterion applies to signatures (2, n) and (1, n') only")
+    if occurs is None and (
+            q > 19 or lat.rank + len(discriminant_group(lat).invariant_factors) > 22):
+        occurs = False
     return EmbeddingReport(occurs=occurs, unique=unique)
 
 

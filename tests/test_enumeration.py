@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from k3cycles import enumeration
 from k3cycles.cli import EXIT_INVALID, run
 from k3cycles.errors import (
     EnumerationLimitExceeded,
@@ -163,7 +164,8 @@ class TestRepCount:
     def test_budget_is_spent_exactly(self, monkeypatch, count, nodes):
         # one unit per node of the unmerged search tree and per candidate
         # check, merged states or not: the total passes, one less does not.
-        # The 20-shear E8's frontier passes MERGE_STATE_CAP
+        # A batch of the 20-shear E8 reaches MERGE_STATE_CAP, and the walk
+        # goes on with merging off
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes))
         count()
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", str(nodes - 1))
@@ -173,6 +175,52 @@ class TestRepCount:
     def test_empty_budget_keeps_default(self, monkeypatch):
         monkeypatch.setenv("K3CYCLES_ENUM_LIMIT", "")
         assert rep_count(e8_lattice(), 4) == 2160
+
+
+class _Tally(_Budget):
+    """A budget that records itself, so a test can read what was spent."""
+
+    made: list = []
+
+    def __init__(self, limit: int):
+        super().__init__(limit)
+        self.made.append(self)
+
+
+A3 = Lattice(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+SHEAR20 = sheared_e8("shear1", 20)
+D4_SPINOR = (1, 1, Fraction(1, 2), Fraction(1, 2))
+BATCH_CUT_CASES = [
+    lambda: norm_histogram(e8_lattice(), None, 10),
+    lambda: norm_histogram(D4, D4_SPINOR, 31),
+    lambda: norm_histogram(SHEAR20, None, 6),
+    lambda: rep_count(SHEAR20, 6),
+    lambda: enumerate_vectors(e8_lattice(), 4),
+    lambda: norm_histogram(root_a1(), (Fraction(1, 3),), 9),
+    lambda: enumerate_vectors(root_a1(), Fraction(25, 2), (Fraction(1, 2),)),
+    lambda: norm_histogram(A1A1, (Fraction(1, 2), 0), 8),
+    lambda: enumerate_vectors(A1A1, Fraction(5, 2), (Fraction(1, 2), 0)),
+    lambda: norm_histogram(A3, (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 12),
+    lambda: tuple_rep_count(e8_lattice(), ((2, 1), (1, 2))),
+    lambda: tuple_rep_count(D4, ((1, 0), (0, 2)), [D4_SPINOR, None]),
+    lambda: tuple_rep_count(A1A1, ((Fraction(1, 2), 0), (0, 2)), [(Fraction(1, 2), 0), None]),
+]
+
+
+def test_batch_cuts_do_not_change_the_sweep(monkeypatch):
+    # where MERGE_STATE_CAP cuts a batch changes which states merge, never
+    # the histograms, the vectors, the counts or the budget spent
+    monkeypatch.setattr(enumeration, "_Budget", _Tally)
+    runs = {}
+    for cap in (1, 2, 3, 1 << 10):
+        monkeypatch.setattr(enumeration, "MERGE_STATE_CAP", cap)
+        runs[cap] = []
+        for case in BATCH_CUT_CASES:
+            _Tally.made.clear()
+            runs[cap].append((case(), [b.left for b in _Tally.made]))
+    assert runs[1][0][0][Fraction(10)] == 240 * oracles.sigma(3, 5)
+    assert runs[1][3][0] == 6720
+    assert all(runs[cap] == runs[1 << 10] for cap in runs)
 
 
 class TestHistogram:
@@ -205,9 +253,10 @@ class TestHistogram:
         assert hist == {Fraction(0): 1, **want}
 
     def test_capped_frontier_stays_small(self):
-        # the 40-shear E8's unmerged frontier reaches 4698 states at one
-        # level, and held whole it peaks at 1.4 MB; past MERGE_STATE_CAP
-        # the sweep recurses instead and peaks at about 0.3 MB
+        # uncapped, a batch of the 40-shear E8 reaches 4698 states at one
+        # level, and the batches held whole peak at 2.2 MB; past MERGE_STATE_CAP
+        # the walk stops merging, each state's children a batch of their
+        # own, and peaks at about 0.2 MB
         lat = sheared_e8("shear0", 40)
         tracemalloc.start()
         try:

@@ -281,6 +281,13 @@ def test_rank_9_a7_plane_is_definite():
     assert report.alternating_ok and report.symmetric_ok and report.definite
 
 
+def test_report_hashes():
+    reports = [ks_report(*ks_draw(0, 4)) for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert hash(reports[0]) == hash(reports[1])
+    assert len({reports[0], reports[1], ks_report(*ks_draw(3, 4))}) == 2
+
+
 def _patched_polarizer(monkeypatch, change):
     real = kuga_satake.polarizer
     monkeypatch.setattr(kuga_satake, "polarizer", lambda lat, sp: change(real(lat, sp)))

@@ -187,6 +187,21 @@ class TestNikulin:
         report = nikulin_embeddable(lat)
         assert report.occurs is None and report.unique is None
 
+    def test_discriminant_too_long_does_not_occur(self):
+        # signature (2, 12) with A_L = (Z/2)^14: rank + l(A_L) = 28 > 22
+        lat = direct_sum(root_a1(), root_a1(), *[rescale(root_a1(), -1)] * 12)
+        assert signature(lat) == Signature(2, 12)
+        assert discriminant_group(lat).invariant_factors == (2,) * 14
+        report = nikulin_embeddable(lat)
+        assert report.occurs is False and report.unique is None
+
+    def test_negative_part_past_19_does_not_occur(self):
+        a3 = Lattice(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
+        lat = direct_sum(hyperbolic_plane(), e8_lattice(-1), e8_lattice(-1), a3)
+        assert signature(lat) == Signature(1, 20)
+        report = nikulin_embeddable(lat)
+        assert report.occurs is False and report.unique is None
+
     def test_two_n_shape(self):
         report = nikulin_embeddable(direct_sum(hyperbolic_plane(), hyperbolic_plane()))
         assert report.occurs is True and report.unique is True
