@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -23,6 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from ._record import record
 from .errors import AmbientMismatch, NotInvertible, RankLimitExceeded
 from .lattice import Lattice
 
@@ -39,7 +39,7 @@ class GradedParity(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@record
 class CliffordElement:
     """A finite rational combination of basis monomials of C(L).
 
@@ -51,6 +51,12 @@ class CliffordElement:
     ambient: Lattice
     nums: tuple[tuple[int, int], ...]
     den: int
+
+    def __post_init__(self):
+        masks, cs = [m for m, _ in self.nums], [c for _, c in self.nums]
+        if (self.den < 1 or math.gcd(self.den, *cs) > 1 or 0 in cs or masks != sorted(set(masks))
+                or not all(0 <= m < 1 << self.ambient.rank for m in masks)):
+            raise ValueError("not canonical: den > 0, gcd 1, nonzero nums, masks ascend < 2**rank")
 
     @cached_property
     def coeffs(self) -> tuple[tuple[int, Fraction], ...]:

@@ -29,8 +29,8 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     EnumerationLimitExceeded,
     InvalidModulus,
@@ -96,7 +96,7 @@ def _phase_form(gram, sizes, mod):
     return diag, cross, [1] * pad + list(sizes)
 
 
-@dataclass(frozen=True)
+@record
 class GaussSumValue:
     value: complex
     a: int
@@ -159,7 +159,7 @@ def gauss_sum(lat: Lattice, a: int, c: int) -> GaussSumValue:
                          normalization=norm)
 
 
-@dataclass(frozen=True)
+@record
 class MilgramResult:
     total: complex
     predicted: complex

@@ -13,12 +13,12 @@ it and <x j, y> on the monomial basis, in integers, as parity blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from . import clifford, linalg
+from ._record import record
 from .clifford import CliffordElement
 from .errors import (
     AmbientMismatch,
@@ -37,7 +37,7 @@ Splitting = tuple[Sequence[Sequence], Sequence[Sequence]]
 KS_RANK_CAP = 10
 
 
-@dataclass(frozen=True)
+@record
 class PeriodPlane:
     """A rational 2-plane in L (x) Q spanned by z1, z2."""
 
@@ -54,7 +54,7 @@ class PeriodPlane:
         )
 
 
-@dataclass(frozen=True)
+@record
 class KSReport:
     """Certification data for the torus of a period plane; riemann_blocks[p]
     is <x j, y> times a.den * j.den on the monomials of parity p, in mask

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
+from ._record import record
 from .errors import (
     DegenerateLattice,
     EnumerationLimitExceeded,
@@ -44,7 +44,7 @@ class Signature(NamedTuple):
     neg: int
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """Free Z-module with an integer Gram matrix."""
 
@@ -122,7 +122,7 @@ class Lattice:
         return cls(gram=tuple(tuple(r) for r in gram), name=name)
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantGroup:
     """L^vee / L presented by cyclic invariant factors.
 
@@ -162,7 +162,7 @@ class DiscriminantGroup:
             yield tuple(Fraction(sum(map(mul, ks, col)) % den, den) for col in cols)
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingReport:
     """Tri-state answers; None means the rank criterion does not decide."""
 

@@ -22,13 +22,13 @@ fields), which keeps degree-1 and split test cases cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
+from ._record import record
 from .errors import NotAnOrder
 
 
@@ -99,7 +99,7 @@ def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
 
-@dataclass(frozen=True)
+@record
 class FieldElement:
     """sum num[n] theta^n / den in F, den > 0 and gcd(den, *num) == 1: a
     canonical form, so == and hash compare values and, like the arithmetic,
@@ -108,6 +108,10 @@ class FieldElement:
     field: TotallyRealField
     num: tuple[int, ...]
     den: int
+
+    def __post_init__(self):
+        if len(self.num) != self.field.degree or self.den < 1 or math.gcd(self.den, *self.num) > 1:
+            raise ValueError("need one numerator per power of theta, over den > 0, in lowest terms")
 
     @cached_property
     def power(self) -> tuple[Fraction, ...]:
@@ -160,7 +164,7 @@ def _reduced(field: TotallyRealField, num: Sequence[int], den: int) -> FieldElem
     return FieldElement(field, tuple(c // g for c in num), den // g)
 
 
-@dataclass(frozen=True)
+@record
 class TotallyRealField:
     """Q[x]/(f) for a monic squarefree totally real integer polynomial f.
 
@@ -169,7 +173,7 @@ class TotallyRealField:
     """
 
     poly: tuple[int, ...]
-    basis: tuple[tuple[Fraction, ...], ...] = dataclass_field(default=())
+    basis: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
         if len(self.poly) < 2:

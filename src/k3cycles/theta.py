@@ -12,18 +12,18 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
+from ._record import record
 from .enumeration import _norm_histograms, _tuple_counts, norm_histogram
 from .errors import InvalidTau, UnsupportedWeight
 from .lattice import Lattice, discriminant_group
 
 
-@dataclass(frozen=True)
+@record
 class QExpansion:
     """Finitely many exact coefficients of a q-series, indexed by exponent."""
 
@@ -79,7 +79,7 @@ def eisenstein_sigma_coeffs(k: int, bound: int) -> QExpansion:
     return _expansion(Fraction(k), Fraction(bound), coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class ThetaValue:
     value: complex
     tail_bound: float
@@ -178,7 +178,7 @@ def theta_transform_check(lat: Lattice, tau: complex, bound) -> float:
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
+@record
 class FourierTable:
     """Genus-r counting table over all psd integer targets with trace <= bound.
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import linalg
+from ._record import record
 from .errors import DegenerateTransfer, NotAnOrder, NotFreeModule
 from .lattice import Lattice, Signature, signature
 from .numberfield import FieldElement, TotallyRealField
@@ -37,7 +37,7 @@ class FeasibilityRow(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class NumberFieldLattice:
     """A free O_F-lattice with symmetric Gram entries in F, given as field
     elements or integral-basis coordinate vectors and held as elements (an
@@ -229,7 +229,7 @@ def feasibility_csv() -> str:
 Quaternion = tuple[FieldElement, FieldElement, FieldElement, FieldElement]
 
 
-@dataclass(frozen=True)
+@record
 class QuaternionAlgebra:
     """(a, b / F): i^2 = a, j^2 = b, ij = -ji = k, so k^2 = -ab, jk = -bi and
     ki = -aj, in the basis 1,i,j,k; a and b go through field._as_element."""
@@ -239,8 +239,7 @@ class QuaternionAlgebra:
     b: FieldElement
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            object.__setattr__(self, name, self.field._as_element(getattr(self, name)))
+        self.__dict__.update(a=self.field._as_element(self.a), b=self.field._as_element(self.b))
         if self.a.is_zero or self.b.is_zero:
             raise ValueError("quaternion parameters a, b must be nonzero")
 

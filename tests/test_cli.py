@@ -103,6 +103,20 @@ class TestDispatch:
         assert done.stdout == "0 []\n", done.stderr
         assert (tmp_path / "table.csv").read_text().startswith("d,m,N\n")
 
+    def test_no_dataclass_modules_imported(self):
+        # the records come from k3cycles._record, which needs none of these
+        script = (
+            "import sys, k3cycles, k3cycles.cli\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+        )
+        src = str(Path(k3cycles.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert done.stdout == "[]\n", done.stderr
+
 
 ONETWO = "ONETWO"  # replaced by the path of a JSON file with Gram diag(2, -2, -2)
 FLAG_FORMS = [

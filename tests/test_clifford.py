@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from k3cycles import clifford
 from k3cycles.clifford import (
+    CliffordElement,
     GradedParity,
     basis_element,
     element,
@@ -31,7 +32,14 @@ from k3cycles.errors import (
     NotInvertible,
     RankLimitExceeded,
 )
-from k3cycles.lattice import Lattice, direct_sum, hyperbolic_plane, k3_lattice, root_a1
+from k3cycles.lattice import (
+    Lattice,
+    direct_sum,
+    e8_lattice,
+    hyperbolic_plane,
+    k3_lattice,
+    root_a1,
+)
 
 A2 = Lattice(((2, 1), (1, 2)))
 MIXED = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, 2)))
@@ -85,6 +93,25 @@ class TestArithmetic:
             x, y = random_element(lat, rng), random_element(lat, rng)
             prod = multiply(x, y)
             assert all(c.denominator == 1 for _, c in prod.coeffs)
+
+    def test_constructor_rejects_noncanonical_form(self):
+        e8 = e8_lattice()
+        assert CliffordElement(e8, ((0, 1),), 1) == scalar_element(e8, 1)
+        assert CliffordElement(e8, ((1, 3), (6, -2)), 5) == element(
+            e8, {1: Fraction(3, 5), 6: Fraction(-2, 5)})
+        bad = [
+            (((0, 2),), 2),  # 2/2 is the scalar 1
+            ((), 2),  # zero over 2
+            (((0, 1),), -1),  # den < 0
+            (((0, 1), (1, 0)), 1),  # a zero coefficient
+            (((3, 1), (1, 1)), 1),  # masks descending
+            (((1, 1), (1, 2)), 1),  # a repeated mask
+            (((1 << 8, 1),), 1),  # outside range(2**rank)
+            (((-1, 1),), 1),
+        ]
+        for nums, den in bad:
+            with pytest.raises(ValueError):
+                CliffordElement(e8, nums, den)
 
 
 class TestInvolution:

@@ -92,6 +92,23 @@ class TestArithmetic:
         assert len({x, y, SQRT5.one(), GOLDEN.one()}) == 2
         assert x != SQRT2.gen() and x != SQRT5.one()
 
+    def test_constructor_rejects_unreduced_form(self):
+        # (2 + 4 theta)/2 is 1 + 2 theta; a second form of it would split == and hash
+        assert FieldElement(SQRT2, (1, 2), 1) == SQRT2.from_power([1, 2])
+        with pytest.raises(ValueError):
+            FieldElement(SQRT2, (2, 4), 2)
+        with pytest.raises(ValueError):
+            FieldElement(SQRT2, (1, 2), -1)
+        with pytest.raises(ValueError):
+            FieldElement(SQRT2, (0, 0), 3)
+
+    def test_constructor_rejects_short_numerators(self):
+        # + zips the numerators, so a short tuple would drop coordinates
+        with pytest.raises(ValueError):
+            FieldElement(SQRT2, (1,), 1)
+        with pytest.raises(ValueError):
+            FieldElement(SQRT2, (1, 0, 0), 1)
+
 
 class TestTrace:
     def test_quadratic_traces(self):
