@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional, Sequence
 
 from . import clifford, enumeration, gauss, kuga_satake, theta, transfer
 from .errors import K3CyclesError
@@ -51,7 +51,7 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
@@ -312,7 +312,7 @@ def _help(name: str, specs: dict) -> str:
     return "\n".join(lines + [f"  {v}\n      {specs[f]['help']}" for f, v in forms.items()]) + "\n"
 
 
-def _read_flags(name: str, words: list[str]) -> Optional[SimpleNamespace]:
+def _read_flags(name: str, words: list[str]) -> SimpleNamespace | None:
     """Consume `words` by the flag specs of `name`; None once `--help` is written.
 
     A flag is `--flag value` or `--flag=value`, spelled out or by a unique

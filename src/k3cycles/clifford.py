@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from ._record import record

@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -129,7 +129,7 @@ def _sweep(
     form,
     shift: Sequence[Fraction],
     bound: Fraction,
-    budget: Optional[_Budget] = None,
+    budget: _Budget | None = None,
     exact: bool = False,
     keep: Sequence[int] = (),
 ) -> tuple[int, dict[int, int], dict[int, list[list[int]]]]:
@@ -240,7 +240,7 @@ def _sweep(
     return unit, hist, kept
 
 
-def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
+def _normalized_shift(lat: Lattice, h: Sequence | None) -> list[Fraction]:
     if h is None:
         return [Fraction(0)] * lat.rank
     hv = as_vector(h)
@@ -249,7 +249,7 @@ def _normalized_shift(lat: Lattice, h: Optional[Sequence]) -> list[Fraction]:
     return [x - x.__floor__() for x in hv]
 
 
-def enumerate_vectors(lat: Lattice, t, h: Optional[Sequence] = None) -> list[Vector]:
+def enumerate_vectors(lat: Lattice, t, h: Sequence | None = None) -> list[Vector]:
     """All x in L + h with (x, x) = t, in lexicographic coordinate order."""
     t = Fraction(t)
     shift = _normalized_shift(lat, h)
@@ -262,14 +262,14 @@ def enumerate_vectors(lat: Lattice, t, h: Optional[Sequence] = None) -> list[Vec
     return [tuple(Fraction(v, den) for v in xs) for xs in out]
 
 
-def rep_count(lat: Lattice, t, h: Optional[Sequence] = None) -> int:
+def rep_count(lat: Lattice, t, h: Sequence | None = None) -> int:
     """Number of x in L + h with (x, x) = t; zero for negative t."""
     t = Fraction(t)
     _unit, hist, _kept = _sweep(_integer_form(lat.gram), _normalized_shift(lat, h), t, exact=True)
     return sum(hist.values())
 
 
-def norm_histogram(lat: Lattice, h: Optional[Sequence], bound) -> dict[Fraction, int]:
+def norm_histogram(lat: Lattice, h: Sequence | None, bound) -> dict[Fraction, int]:
     """Counts of every norm value <= bound in L + h, keyed exactly."""
     return _norm_histograms(lat, [_normalized_shift(lat, h)], bound)[0]
 
@@ -410,7 +410,7 @@ def _tuple_counts(lat: Lattice, targets: Sequence, shifts: Sequence[list[Fractio
             for t in targets]
 
 
-def tuple_rep_count(lat: Lattice, target, cosets: Optional[Sequence] = None) -> int:
+def tuple_rep_count(lat: Lattice, target, cosets: Sequence | None = None) -> int:
     """Number of r-tuples in the prescribed cosets with Gram matrix = target.
 
     With s the common denominator of the cosets, the count is 0 unless

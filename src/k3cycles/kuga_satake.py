@@ -13,9 +13,9 @@ it and <x j, y> on the monomial basis, in integers, as parity blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from . import clifford, linalg
 from ._record import record

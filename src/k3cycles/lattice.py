@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from ._record import record
@@ -39,9 +40,7 @@ def as_vector(v: Sequence) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
-class Signature(NamedTuple):
-    pos: int
-    neg: int
+Signature = namedtuple("Signature", "pos neg")
 
 
 @record
@@ -49,7 +48,7 @@ class Lattice:
     """Free Z-module with an integer Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
-    name: Optional[str] = None
+    name: str | None = None
 
     def __post_init__(self):
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -166,8 +165,8 @@ class DiscriminantGroup:
 class EmbeddingReport:
     """Tri-state answers; None means the rank criterion does not decide."""
 
-    occurs: Optional[bool]
-    unique: Optional[bool]
+    occurs: bool | None
+    unique: bool | None
 
 
 def signature(lat: Lattice) -> Signature:
@@ -179,8 +178,6 @@ def signature(lat: Lattice) -> Signature:
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    if lat.rank == 0:
-        return DiscriminantGroup((), (), 1, 0)
     if lat.det == 0:
         raise DegenerateLattice("degenerate lattice has no discriminant group")
     d, v = linalg.smith_normal_form([list(row) for row in lat.gram])

@@ -18,9 +18,9 @@ kernels need only its column half: a unimodular column reduction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
-from typing import Optional, Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
@@ -112,7 +112,7 @@ def rank(a) -> int:
     return len(_gauss_jordan(_integer_rows(a)[0])[0])
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def solve(a: Matrix, b: Sequence[Fraction]) -> list[Fraction] | None:
     """One solution of a*x = b over Q, or None if inconsistent.
 
     For singular square systems the free coordinates are set to zero.
@@ -128,7 +128,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
     return x
 
 
-def inverse(a: Matrix) -> Optional[Matrix]:
+def inverse(a: Matrix) -> Matrix | None:
     _require_square(a, "inverse")
     n = len(a)
     m, _ = _integer_rows([list(a[i]) + [int(i == j) for j in range(n)]
@@ -302,7 +302,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return d, v
 
 
-def integer_kernel(a: IntMatrix, cols: Optional[int] = None) -> list[list[int]]:
+def integer_kernel(a: IntMatrix, cols: int | None = None) -> list[list[int]]:
     """Saturated basis of {x in Z^cols : a*x = 0} (list of int vectors).
 
     Column reduction (Cohen, GTM 138, 2.4): each column is kept as its image

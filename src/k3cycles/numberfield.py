@@ -6,15 +6,16 @@ basis of a root.  Elements are integer power-basis numerators over one
 denominator, multiplied as integer polynomials reduced mod the monic f;
 each field caches the integer inverse of its integral basis and the
 structure constants of omega_k omega_l in it (Cohen, GTM 138, Sec. 4.2).
-The real embeddings are isolating rational intervals around the roots,
-ascending.  The sign of an element g at a root is one exact Sturm-Tarski
-query on its interval: the sign changes of the signed remainder sequence
-of f and f'g mod f count the roots of f there, each weighted by the sign
-of g (Basu-Pollack-Roy, Thm 2.58).  That sequence, and the Sturm sequence
-of f that isolates the roots, is kept in integers as a primitive
-pseudo-remainder sequence (Cohen, GTM 138, Sec. 3.3) whose terms are
-positive multiples of the Sturm terms, and it is evaluated at p/q
-homogeneously, as the sum of c_i p^i q^(n-i).  Reducible squarefree
+The real embeddings are open rational intervals (a, b), ascending, each
+holding one root and neither end a root, so every end separates the roots
+below it from those above.  The sign of an element g at a root is one
+exact Sturm-Tarski query on its interval: the sign changes of the signed
+remainder sequence of f and f'g mod f count the roots of f there, each
+weighted by the sign of g (Basu-Pollack-Roy, Thm 2.58).  That sequence,
+and the Sturm sequence of f that isolates the roots, is kept in integers
+as a primitive pseudo-remainder sequence (Cohen, GTM 138, Sec. 3.3) whose
+terms are positive multiples of the Sturm terms, and it is evaluated at
+p/q homogeneously, as the sum of c_i p^i q^(n-i).  Reducible squarefree
 polynomials are tolerated (the arithmetic is then that of a product of
 fields), which keeps degree-1 and split test cases cheap.
 """
@@ -22,10 +23,10 @@ fields), which keeps degree-1 and split test cases cheap.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence
 
 from . import linalg
 from ._record import record
@@ -92,10 +93,9 @@ def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
 
 
 def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    """Sum of sign g(theta) over the distinct real roots theta of f in the
-    half-open interval (a, b], for chain = _int_chain(f, g).  With g = 1
-    this is the number of those roots, and a or b may be roots of f;
-    otherwise neither may be."""
+    """Sum of sign g(theta) over the distinct real roots theta of f in
+    (a, b), for chain = _int_chain(f, g) and a < b, neither a root of f.
+    With g = 1 this is the number of those roots."""
     return _sign_changes(chain, a) - _sign_changes(chain, b)
 
 
@@ -204,33 +204,25 @@ class TotallyRealField:
 
     @cached_property
     def _isolating(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The first isolating intervals of the real roots, ascending."""
-        bound = Fraction(1 + max(abs(c) for c in self.poly))
+        """Open isolating intervals (a, b) of the real roots, ascending: one
+        root in each, and neither end a root of f.  Bisection starts from the
+        Cauchy bound, which is no root, and moves a midpoint that is a root
+        towards a until it is not."""
+        f = self.poly
+        bound = Fraction(1 + max(abs(c) for c in f))
         found: list[tuple[Fraction, Fraction]] = []
         stack = [(-bound, bound)]
         while stack:
             a, b = stack.pop()
             k = _count_roots(self._chain, a, b)
-            if k == 0:
-                continue
             if k == 1:
-                if _int_eval(self.poly, b) == 0:
-                    found.append((b, b))
-                else:
-                    found.append((a, b))
-                continue
-            m = (a + b) / 2
-            if _int_eval(self.poly, m) == 0:
-                found.append((m, m))
-                delta = (b - a) / 4
-                while _count_roots(self._chain, m - delta, m + delta) != 1:
-                    delta /= 2
-                stack.append((a, m - delta))
-                stack.append((m + delta, b))
-            else:
-                stack.append((a, m))
-                stack.append((m, b))
-        found.sort(key=lambda iv: iv[0])
+                found.append((a, b))
+            elif k > 1:
+                m = (a + b) / 2
+                while _int_eval(f, m) == 0:
+                    m = (a + m) / 2
+                stack += [(a, m), (m, b)]
+        found.sort()
         return tuple(found)
 
     @cached_property
@@ -265,7 +257,7 @@ class TotallyRealField:
             raise NotAnOrder("1 is not an integer combination of the basis")
         self._structure  # raises NotAnOrder unless closed under multiplication
 
-    def _to_integral(self, x: FieldElement) -> Optional[tuple[int, ...]]:
+    def _to_integral(self, x: FieldElement) -> tuple[int, ...] | None:
         """Integer coordinates of x against the basis, or None."""
         cols, den = self._dual
         den *= x.den
@@ -339,13 +331,10 @@ class TotallyRealField:
         return self._isolating
 
     def sign_at(self, i: int, x: FieldElement) -> int:
-        """Exact sign of x under the i-th embedding (-1, 0, or 1), from its
-        numerators (den > 0 leaves every sign unchanged)."""
-        lo, hi = self._isolating[i]
-        if lo == hi:
-            v = _int_eval(x.num, lo)
-            return (v > 0) - (v < 0)
-        return _count_roots(_int_chain(self.poly, x.num), lo, hi)
+        """Exact sign of x under the i-th embedding (-1, 0, or 1): one
+        Sturm-Tarski query on its interval, from the numerators of x (den > 0
+        leaves every sign unchanged)."""
+        return _count_roots(_int_chain(self.poly, x.num), *self._isolating[i])
 
     def to_dict(self) -> dict:
         return {
@@ -358,9 +347,7 @@ class TotallyRealField:
         if not isinstance(data, dict) or "poly" not in data:
             raise ValueError("field JSON must be an object with a 'poly' list")
         poly = data["poly"]
-        if not isinstance(poly, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in poly
-        ):
+        if not isinstance(poly, list):
             raise ValueError("'poly' must be a list of integers")
         basis = data.get("integral_basis")
         if basis is None:

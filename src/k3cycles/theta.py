@@ -12,9 +12,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from ._record import record
@@ -47,7 +47,7 @@ def _expansion(weight: Fraction, bound: Fraction, coeffs: Mapping) -> QExpansion
     return QExpansion(weight=weight, bound=Fraction(bound), coeffs=items)
 
 
-def theta_coeffs(lat: Lattice, h: Optional[Sequence] = None, bound=10) -> QExpansion:
+def theta_coeffs(lat: Lattice, h: Sequence | None = None, bound=10) -> QExpansion:
     """Norm-counting q-expansion of L + h up to the exponent bound."""
     hist = norm_histogram(lat, h, bound)
     return _expansion(Fraction(lat.rank, 2), Fraction(bound), hist)
@@ -138,7 +138,7 @@ def _tail_bound(lat: Lattice, bound: Fraction, tau: complex) -> float:
     return total + term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
-def theta_value(lat: Lattice, h: Optional[Sequence], tau: complex, bound) -> ThetaValue:
+def theta_value(lat: Lattice, h: Sequence | None, tau: complex, bound) -> ThetaValue:
     """Truncated numerical theta value with a tail bound report."""
     tau = _require_upper_half(tau)
     bound = Fraction(bound)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
 
 from . import linalg
 from ._record import record
@@ -31,10 +32,7 @@ from .numberfield import FieldElement, TotallyRealField
 SignatureProfile = tuple[Signature, ...]
 
 
-class FeasibilityRow(NamedTuple):
-    d: int
-    m: int
-    n: int
+FeasibilityRow = namedtuple("FeasibilityRow", "d m n")
 
 
 @record
@@ -153,9 +151,10 @@ def signature_profile(m: NumberFieldLattice) -> SignatureProfile:
     For c in F nonzero at every embedding, tr_{F/Q}(c M) has signature
     sum_i sign sigma_i(c) (p_i - q_i) (Scharlau, Quadratic and Hermitian
     Forms, on transfers).  T_1 = tr(M) is degenerate exactly when M is at
-    some embedding.  For a rational r_k between roots k and k+1 (the
-    midpoint of the gap between their isolating intervals), theta - r_k is
-    positive at the embeddings above r_k and negative below, so
+    some embedding.  The upper end r_k of the isolating interval of root k
+    is rational, no root, and below interval k+1, so it separates roots k
+    and k+1: theta - r_k is positive at the embeddings above r_k and
+    negative below, so
     sum_(i>k) (p_i - q_i) = (sig T_1 + sig T_(theta-r_k)) / 2, and
     p_i + q_i = rank.  Each signature is one linalg.inertia call, on
     den(r_k) T_theta - num(r_k) T_1 for the twisted forms; the positive
@@ -166,10 +165,8 @@ def signature_profile(m: NumberFieldLattice) -> SignatureProfile:
     if zero:
         raise DegenerateTransfer("the form is degenerate at some real embedding")
     theta, _scale = _trace_gram(m, 1)
-    roots = m.field.embeddings()
     tails = [pos - neg]  # tails[k] = sum over embeddings i >= k of p_i - q_i
-    for (_lo, hi), (lo, _hi) in zip(roots, roots[1:]):
-        r = (hi + lo) / 2
+    for _lo, r in m.field.embeddings()[:-1]:
         twisted = [[r.denominator * x - r.numerator * y for x, y in zip(rt, r1)]
                    for rt, r1 in zip(theta, one)]
         p, q, _z = linalg.inertia(twisted)

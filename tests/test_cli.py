@@ -104,10 +104,11 @@ class TestDispatch:
         assert (tmp_path / "table.csv").read_text().startswith("d,m,N\n")
 
     def test_no_dataclass_modules_imported(self):
-        # the records come from k3cycles._record, which needs none of these
+        # the records come from k3cycles._record, which needs none of these,
+        # and annotations name collections.abc types, so typing stays out too
         script = (
             "import sys, k3cycles, k3cycles.cli\n"
-            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
         )
         src = str(Path(k3cycles.__file__).parents[1])
@@ -325,6 +326,12 @@ class TestTheta:
         assert doc["weight"] == "1/2"
         assert doc["coeffs"] == [["0", "1"], ["2", "2"], ["8", "2"]]
 
+    def test_shifted_series_reports_its_shift(self, capsys):
+        # (x, x) = 2 (n + 1/2)^2 is 1/2 at n = 0 and n = -1, and 9/2 > 2 next
+        doc = invoke_json(capsys, "theta", "--lattice", "A1", "--bound", "2", "--h", "1/2")
+        assert doc["h"] == ["1/2"]
+        assert doc["coeffs"] == [["1/2", "2"]]
+
     def test_value_and_transform(self, capsys):
         doc = invoke_json(
             capsys,
@@ -413,6 +420,12 @@ class TestGaussMilgram:
 
 
 class TestClifford:
+    def test_spinor_norm(self, capsys):
+        # (1 + e1)(1 + e1) = 1 + 2 e1 + (e1, e1) with (e1, e1) = 2 in A1
+        doc = invoke_json(capsys, "clifford", "--lattice", "A1", "--element", "1 + e{1}",
+                          "--spinor-norm")
+        assert doc["spinor_norm"] == "3*e{} + 2*e{1}"
+
     def test_square_of_generator(self, capsys):
         doc = invoke_json(
             capsys,

@@ -471,3 +471,21 @@ def test_homogeneous_inverses_match_full_system_oracle():
         assert got == want, (gram, cx)
         seen[want is not None].add(parity(x))
     assert seen[True] == seen[False] == {GradedParity.EVEN, GradedParity.ODD}
+
+
+def test_star_dispatches_on_its_operand():
+    x, y = basis_element(A2, 1), basis_element(A2, 2)
+    assert x * y == multiply(x, y)
+    assert x * Fraction(3, 2) == Fraction(3, 2) * x == x.scale(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: element(A2, {4: 1}), ValueError, "mask 4 out of range for rank 2"),
+    (lambda: vector_element(A2, (1,)), ValueError, "does not match lattice rank"),
+    (lambda: basis_element(A2, 0), ValueError, "basis index 0 out of range"),
+    (lambda: basis_element(A2, 3), ValueError, "basis index 3 out of range"),
+    (lambda: parse_element(A2, "  "), ValueError, "empty Clifford element"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

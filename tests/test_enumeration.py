@@ -29,7 +29,15 @@ from k3cycles.enumeration import (
     rep_count,
     tuple_rep_count,
 )
-from k3cycles.lattice import Lattice, direct_sum, e8_lattice, root_a1
+from k3cycles.lattice import (
+    DiscriminantGroup,
+    Lattice,
+    direct_sum,
+    discriminant_group,
+    e8_lattice,
+    root_a1,
+)
+from k3cycles.theta import theta_value
 
 
 def posdef_lattices(rank_max=3, rank_min=1):
@@ -467,3 +475,33 @@ def test_exact_counts_match_bound_scan(case):
         for v in vectors:
             assert lat.inner(v, v) == t
             assert all((x - y).denominator == 1 for x, y in zip(v, h))
+
+
+def test_rank_zero_lattice():
+    # the empty lattice has one vector, the zero vector, of norm 0
+    empty = Lattice(())
+    assert rep_count(empty, 0) == 1
+    assert norm_histogram(empty, None, 5) == {0: 1}
+    assert enumerate_vectors(empty, 0) == [()]
+    assert discriminant_group(empty) == DiscriminantGroup((), (), 1, 0)  # order 1
+    value = theta_value(empty, None, 1j, 5)
+    assert value.value == 1 and value.tail_bound == 0.0
+
+
+def test_indefinite_target_has_no_tuples():
+    # ((2, 4), (4, 2)) has a nonnegative diagonal but a negative eigenvalue,
+    # so it is the Gram matrix of no pair of vectors in a definite lattice
+    assert tuple_rep_count(root_a1(), ((2, 4), (4, 2))) == 0
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: rep_count(root_a1(), 1, h=(0, 0)), ValueError, "coset vector length"),
+    (lambda: tuple_rep_count(root_a1(), ((2, 0),)), ValueError, "must be square"),
+    (lambda: tuple_rep_count(root_a1(), ((2, 1), (0, 2))), ValueError, "must be symmetric"),
+    (lambda: tuple_rep_count(root_a1(), ((-2,),)), NegativeTarget, "negative diagonal"),
+    (lambda: tuple_rep_count(root_a1(), ((2,),), cosets=[(0,), (0,)]), ValueError,
+     "one coset vector per tuple slot"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -268,3 +269,15 @@ def test_gauss_runs_at_the_residue_cap(monkeypatch):
     monkeypatch.setattr(gauss, "RESIDUE_TERM_CAP", 5 ** 3 - 1)
     with pytest.raises(EnumerationLimitExceeded):
         gauss_sum(lat, 1, 5)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: gauss_sum(e8_lattice(), 1, 0), InvalidModulus, "modulus c must be a positive integer"),
+    (lambda: gauss_sum(e8_lattice(), 1, True), InvalidModulus, "modulus c"),
+    (lambda: gauss_sum(e8_lattice(), Fraction(1, 2), 4), InvalidModulus,
+     "parameter a must be an integer"),
+    (lambda: gauss_sum(e8_lattice(), True, 4), InvalidModulus, "parameter a must be an integer"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -343,3 +343,22 @@ class TestSpecialEndo:
         z = period_plane(lat, (0, 1, 1), (0, 1, -1))
         endo = special_endo_lattice(lat, z)
         assert endo.gram == ((2,),)
+
+
+SPLIT = Lattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
+PLUS, MINUS = [(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: period_plane(SPLIT, (1, 0), (0, 1, 0, 0)), ValueError, "plane vector length"),
+    (lambda: polarizer(SPLIT, (PLUS, [(0, 0, 1), (0, 0, 0, 1)])), BadSplitting,
+     "splitting vector length"),
+    (lambda: polarizer(SPLIT, (PLUS, [(0, 0, Fraction(1, 2), 0), (0, 0, 0, 1)])), BadSplitting,
+     "must be integral"),
+    (lambda: polarizer(SPLIT, (PLUS[:1], MINUS)), BadSplitting, "positive part must have rank"),
+    (lambda: polarizer(SPLIT, ([(1, 0, 0, 0), (2, 0, 0, 0)], MINUS)), BadSplitting,
+     "do not span"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -315,3 +315,15 @@ def test_cosets_of_diag2_power_12():
     cosets = list(d.elements())
     assert time.perf_counter() - start < 1.0
     assert cosets == sorted(itertools.product((Fraction(0), Fraction(1, 2)), repeat=12))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: root_a1().inner((1,), (1, 0)), ValueError, "vector length does not match"),
+    (lambda: root_a1().in_dual((1, 0)), ValueError, "vector length does not match"),
+    (lambda: Lattice.from_dict({"gram": [[2]], "name": 3}), ValueError,
+     "'name' must be a string"),
+    (lambda: e8_lattice(2), InvalidScale, "sign must be"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -432,3 +432,13 @@ def test_linalg_matches_sympy(seed):
     changes = sum(1 for u, v in zip(nonzero, nonzero[1:]) if u * v < 0)
     zeros = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
     assert linalg.inertia(form) == (changes, len(form) - zeros - changes, zeros)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: linalg.congruence_diagonalize([[1, 2], [0, 1]]), ValueError,
+     "requires a symmetric matrix"),
+    (lambda: linalg.congruence_diagonalize([[1, 2]]), ValueError, "requires a symmetric matrix"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

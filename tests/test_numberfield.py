@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from k3cycles.errors import NotAnOrder
-from k3cycles.numberfield import FieldElement, TotallyRealField
+from k3cycles.numberfield import (
+    FieldElement,
+    TotallyRealField,
+    _count_roots,
+    _int_chain,
+    _int_eval,
+)
 
 SQRT2 = TotallyRealField.quadratic(2)
 SQRT5 = TotallyRealField.quadratic(5)
@@ -150,9 +156,11 @@ class TestEmbeddings:
         zd = etale.gen() - etale.one()  # vanishes at root +1 only
         signs = {etale.sign_at(i, zd) for i in range(2)}
         assert signs == {-1, 0}
-        # x^3 - x isolates its root 0 as the exact interval (0, 0)
+        # x^3 - x has the rational root 0: it lies strictly inside exactly
+        # one open interval, and no interval end is a root
         split = TotallyRealField(poly=(0, -1, 0, 1))
-        assert (0, 0) in split.embeddings()
+        assert sum(lo < 0 < hi for lo, hi in split.embeddings()) == 1
+        assert all(_int_eval(split.poly, end) for iv in split.embeddings() for end in iv)
         for x, signs in ((split.gen(), [-1, 0, 1]), (split.gen() - split.one(), [-1, -1, 0])):
             assert [split.sign_at(i, x) for i in range(3)] == signs
 
@@ -180,6 +188,41 @@ class TestEmbeddings:
         assert [field.sign_at(i, x) for i in range(3)] == [-1, -1, 1]
         assert field.embeddings() == before
         assert field.embeddings() == TotallyRealField(poly=CUBIC.poly).embeddings()
+
+
+# Signs of theta - c for c = -2, ..., 3 at each embedding, ascending; the
+# split polynomials have roots at some of these c, where the sign is 0.
+THETA_MINUS_C_SIGNS = {
+    (0, 1): [[1], [1], [0], [-1], [-1], [-1]],
+    (-2, 0, 1): [[1, 1], [-1, 1], [-1, 1], [-1, 1], [-1, -1], [-1, -1]],
+    (-5, 0, 1): [[-1, 1], [-1, 1], [-1, 1], [-1, 1], [-1, 1], [-1, -1]],
+    (-1, -3, 0, 1): [[1, 1, 1], [-1, 1, 1], [-1, -1, 1], [-1, -1, 1], [-1, -1, -1], [-1, -1, -1]],
+    (1, 3, -3, -4, 1, 1): [[1, 1, 1, 1, 1], [-1, -1, 1, 1, 1], [-1, -1, -1, 1, 1],
+                           [-1, -1, -1, -1, 1], [-1, -1, -1, -1, -1], [-1, -1, -1, -1, -1]],
+    (1, -4, -4, 10, 4, -6, -1, 1): [[1, 1, 1, 1, 1, 1, 1], [-1, -1, 1, 1, 1, 1, 1],
+                                    [-1, -1, -1, 1, 1, 1, 1], [-1, -1, -1, -1, -1, 1, 1],
+                                    [-1, -1, -1, -1, -1, -1, 1], [-1, -1, -1, -1, -1, -1, -1]],
+    (0, -1, 1): [[1, 1], [1, 1], [0, 1], [-1, 0], [-1, -1], [-1, -1]],
+    (-1, 0, 1): [[1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [-1, -1]],
+    (0, -1, 0, 1): [[1, 1, 1], [0, 1, 1], [-1, 0, 1], [-1, -1, 0], [-1, -1, -1], [-1, -1, -1]],
+    (-6, 11, -6, 1): [[1, 1, 1], [1, 1, 1], [1, 1, 1], [0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    (0, 4, 0, -5, 0, 1): [[0, 1, 1, 1, 1], [-1, 0, 1, 1, 1], [-1, -1, 0, 1, 1],
+                          [-1, -1, -1, 0, 1], [-1, -1, -1, -1, 0], [-1, -1, -1, -1, -1]],
+}
+
+
+@pytest.mark.parametrize("poly", list(THETA_MINUS_C_SIGNS))
+def test_isolating_intervals_are_open_with_nonroot_ends(poly):
+    field = TotallyRealField(poly)
+    roots = field.embeddings()
+    assert len(roots) == field.degree
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(roots, roots[1:]))
+    for a, b in roots:
+        assert a < b and _int_eval(field.poly, a) and _int_eval(field.poly, b)
+        assert _count_roots(field._chain, a, b) == 1
+    signs = [[field.sign_at(i, field.gen() - field.from_power([c])) for i in range(field.degree)]
+             for c in range(-2, 4)]
+    assert signs == THETA_MINUS_C_SIGNS[poly]
 
 
 class TestSerialization:
@@ -313,7 +356,7 @@ def _sympy_signs(sympy, poly, c):
 @pytest.mark.parametrize("poly", [
     (-1, -3, 0, 1),
     (1, 3, -3, -4, 1, 1),  # 2cos(2pi/11)
-    (0, -1, 0, 1),  # x^3 - x: exact rational roots, lo == hi at 0
+    (0, -1, 0, 1),  # x^3 - x: rational roots, which sympy isolates as points
 ])
 def test_integer_sturm_signs_match_sympy(poly):
     sympy = pytest.importorskip("sympy")
@@ -379,3 +422,22 @@ def test_arithmetic_matches_oracle(case):
     # equal values built by different routes are equal and hash alike
     for z in (field.from_power(px), field.element(coords), (x + y) - y, x * field.one(), -(-x)):
         assert z == x and hash(z) == hash(x)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: TotallyRealField((1,)), ValueError, "degree at least 1"),
+    (lambda: TotallyRealField((Fraction(-1, 2), 1)), ValueError, "integer coefficients"),
+    (lambda: TotallyRealField.from_dict({"poly": [-2, 0.0, 1]}), ValueError,
+     "integer coefficients"),
+    (lambda: TotallyRealField.from_dict({"poly": [-2, True, 1]}), ValueError,
+     "integer coefficients"),
+    (lambda: TotallyRealField.from_dict({"poly": [-2, 0, 1], "integral_basis": "1, x"}),
+     ValueError, "'integral_basis' must be a list"),
+    (lambda: TotallyRealField((-2, 0, 1), ((1, 0), (2, 0))), NotAnOrder,
+     "does not span the field"),
+    (lambda: TotallyRealField((-2, 0, 1), ((1, 0),)), NotAnOrder, "square of size degree"),
+    (lambda: SQRT2.element([1]), ValueError, "does not match the degree"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -261,3 +261,12 @@ def test_psd_rank_matches_inertia_on_random_symmetric():
             for j in range(i, r):
                 t[i][j] = t[j][i] = rng.randint(-3, 3)
         assert linalg.inertia(t) == oracles.inertia(t), t
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: siegel_theta_table(root_a1(), 0, 4), ValueError, "genus must be at least 1"),
+    (lambda: siegel_theta_table(root_a1(), 1, -1), ValueError, "bound must be nonnegative"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

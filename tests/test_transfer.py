@@ -494,3 +494,22 @@ def test_profile_matches_embedding_oracle(case):
     # the oracle only approximates irrational roots: both precisions must agree
     assert oracles.embedding_profile(field.poly, powers, 200) == want
     assert [tuple(s) for s in signature_profile(m)] == want
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: NumberFieldLattice(SQRT2, ((SQRT2.one(), SQRT2.zero()),)), ValueError,
+     "must be square"),
+    (lambda: diagonal_lattice(SQRT2, [SQRT2.from_power([Fraction(1, 2)])]).to_dict(),
+     ValueError, "O_F-integral"),
+    (lambda: NumberFieldLattice.from_dict({"field": {"poly": [-2, 0, 1]}, "gram": "x"}),
+     ValueError, "'gram' must be a matrix"),
+    (lambda: QuaternionAlgebra(SQRT2, (1, 0), (1, 0)).element([SQRT2.one()] * 3), ValueError,
+     "4 components"),
+    (lambda: quaternion_trace_zero(RATIONALS, (-1,), (-1,), [((1,), (0,), (0,))]), ValueError,
+     "4 coordinate vectors"),
+    (lambda: quaternion_trace_zero(RATIONALS, (-1,), (-1,), STANDARD_ORDER[:3]), NotAnOrder,
+     "4 elements"),
+])
+def test_error_paths(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
