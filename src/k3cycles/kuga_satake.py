@@ -6,8 +6,9 @@ usual complex structure, but every symmetry, commutation, and definiteness
 statement below is invariant under that positive rescaling, so the whole
 certification runs in exact rational arithmetic.  The polarization form is
 <x, y> = trace(a x y^iota) for a = a1 a2 built from an orthogonal basis of
-the negative definite rank-2 summand (van Geemen 2000).  ks_report builds
-it and <x j, y> on the monomial basis, in integers, as parity blocks.
+the negative definite rank-2 summand (van Geemen 2000).  ks_report
+certifies <x j, y> in closed form, from the relative orientation of the
+two negative planes, at every rank: it does no Clifford work.
 """
 
 from __future__ import annotations
@@ -25,16 +26,11 @@ from .errors import (
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
-    RankLimitExceeded,
     UnsupportedSignature,
 )
 from .lattice import Lattice, Vector, as_vector, signature
 
 Splitting = tuple[Sequence[Sequence], Sequence[Sequence]]
-
-# On a 2-core x86 VM ks_report takes 0.1-0.4 s at rank 9; at rank 10 it takes
-# 0.2 s (diagonal), 0.6 s (A8 + two <-2>), 0.3-3.1 s (sheared), at most 63 MB.
-KS_RANK_CAP = 10
 
 
 @record
@@ -56,13 +52,16 @@ class PeriodPlane:
 
 @record
 class KSReport:
-    """Certification data for the torus of a period plane; riemann_blocks[p]
-    is <x j, y> times a.den * j.den on the monomials of parity p, in mask
-    order, as tuple rows so that the report hashes.  symmetric_ok is
-    always True: an asymmetric form raises instead."""
+    """Certification data for the torus of a period plane.
+
+    orientation is o = det(<a_i, z_k>), never 0; its sign alone fixes the
+    inertia of <x j, y> on the 2^rank monomials (see ks_report).
+    alternating_ok, symmetric_ok and definite are the identities that a
+    valid splitting and plane guarantee, so they are always True.
+    """
 
     j_square_scalar: Fraction
-    riemann_blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    orientation: Fraction
     alternating_ok: bool
     symmetric_ok: bool
     definite: bool
@@ -130,13 +129,9 @@ def _integral_vector(lat: Lattice, v: Sequence) -> Vector:
     return vec
 
 
-def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
-    """The element a = a1 a2 from the negative definite part of a splitting.
-
-    The positive part must be orthogonal to it and complete a full-rank
-    basis; a is required to satisfy a^iota = -a, which for a product of
-    two vectors means exactly that the pair is orthogonal.
-    """
+def _minus_pair(lat: Lattice, splitting: Splitting) -> tuple[Vector, Vector]:
+    """The negative part (a1, a2) of a splitting: an orthogonal pair spanning a
+    negative definite plane, completed to a basis by the orthogonal positive part."""
     plus_basis, minus_basis = splitting
     if len(minus_basis) != 2:
         raise BadSplitting("the negative part of the splitting must have rank 2")
@@ -159,80 +154,59 @@ def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
             "a1 a2 is not involution-antisymmetric; use an orthogonal basis "
             "of the negative part"
         )
-    return clifford.multiply(
-        clifford.vector_element(lat, a1), clifford.vector_element(lat, a2)
-    )
+    return a1, a2
+
+
+def polarizer(lat: Lattice, splitting: Splitting) -> CliffordElement:
+    """a = a1 a2 from the checked negative part of a splitting; a^iota = -a."""
+    a1, a2 = _minus_pair(lat, splitting)
+    return clifford.multiply(clifford.vector_element(lat, a1), clifford.vector_element(lat, a2))
 
 
 def ks_report(lat: Lattice, splitting: Splitting, z: PeriodPlane) -> KSReport:
-    """Assemble and certify the full polarization package for a plane.
+    """Certify the polarization package of a plane in closed form.
 
-    Builds <x,y> = trace(a x y^iota) and <x j, y> over the monomial basis
-    on the integer numerators of a and j, then checks exactly: the first is
-    antisymmetric, the second symmetric (linalg.inertia raises otherwise)
-    with definite inertia, up to the global sign fixed by orientation.
-    Entry (s, t) sums over u the coefficient of e_u in a e_s (or a e_s j)
-    times tau(e_u rev(e_t)); a depth-first walk over t pushes that column,
-    sparse, through transposed tables into both forms and into the column
-    of t + 2^i.  a and j are even, so each form is written once, into its
-    even and odd blocks; an entry joining them raises ValueError.
+    a = a1 a2 comes from the splitting's negative part and j = z1 z2 from
+    the plane, each pair in the order given; the answer is the inertia of
+    <x j, y> = trace(a x j y^iota) on the 2^rank monomials, read off the
+    sign of o = det(<a_i, z_k>):
+    - The form is symmetric, since a^iota = -a and j^iota = -j, and
+      nondegenerate, since a^2 and j^2 are nonzero scalars; <x, y> is
+      alternating because a^iota = -a.  _minus_pair's checks and the
+      plane's negativity give all of these.
+    - o != 0: otherwise some nonzero z in the plane is orthogonal to a1
+      and a2, so it lies in their positive definite complement.
+    - Pairs of oriented negative planes form four contractible components,
+      one per choice of orientation class for each plane; on each the form
+      stays nondegenerate and o keeps its sign, so both are constant.  The
+      two components with o > 0 differ by reversing both orientations,
+      which negates a and j and leaves the form unchanged; likewise for
+      o < 0.  So the inertia depends only on the sign of o.
+    - At z = a, in an orthogonal basis ending with a1, a2, the form is
+      diagonal on monomials with entry a^2 |prod_{i in S} Q(e_i)| < 0 at
+      e_S: negative definite, with o > 0.  Reversing z negates j, o and
+      the form.
+    So the inertia is (0, 2^rank, 0) when o > 0 and (2^rank, 0, 0) when
+    o < 0.  j^2 = -(z1, z1)(z2, z2) after orthogonalize_plane.
     """
     sig = signature(lat)
     if sig.neg != 2:
         raise UnsupportedSignature(
             f"polarization certification needs signature (n, 2), got {tuple(sig)}"
         )
-    if lat.rank > KS_RANK_CAP:
-        raise RankLimitExceeded(
-            f"certification builds 2^{lat.rank} x 2^{lat.rank} forms; rank is "
-            f"capped at {KS_RANK_CAP}"
-        )
     if z.ambient.gram != lat.gram:
         raise AmbientMismatch("the period plane lies in another lattice")
-    a_el, (j_el, j_square) = polarizer(lat, splitting), j_element(z)
-    a, j = dict(a_el.nums), dict(j_el.nums)
-    table = clifford._table(lat.gram)
+    a1, a2 = _minus_pair(lat, splitting)
+    g = orthogonalize_plane(z).gram2
+    o = lat.inner(a1, z.z1) * lat.inner(a2, z.z2) - lat.inner(a1, z.z2) * lat.inner(a2, z.z1)
     n = 1 << lat.rank
-
-    def transposed(maps) -> list[list]:  # out[u]: (s, c) for c e_u in maps[s]
-        out: list[list] = [[] for _ in range(n)]
-        for s, terms in enumerate(maps):
-            for u, c in terms.items():
-                out[u].append((s, c))
-        return out
-
-    def push(col: dict, tr: list) -> dict:
-        acc: dict = {}
-        for m, v in col.items():
-            for u, c in tr[m]:
-                acc[u] = acc.get(u, 0) + c * v
-        return {u: x for u, x in acc.items() if x}
-
-    xs = [table.product(a, {s: 1}) for s in range(n)]
-    ae, aej = transposed(xs), transposed(table.product(x, j) for x in xs)
-    gens = [transposed(table.gen(u, i) for u in range(n)) for i in range(lat.rank)]
-    # column t: row t >> 1 of block parity(t), entry s at s >> 1 (2k, 2k + 1 differ in parity)
-    alt, sym = [[None] * (n // 2) for _ in (0, 1)], [[None] * (n // 2) for _ in (0, 1)]
-    stack = [(0, {m: x for m in range(n) if (x := table.tau(m))})]
-    while stack:
-        t, col = stack.pop()
-        for blocks, tr in ((alt, ae), (sym, aej)):
-            row = [0] * (n // 2)
-            for s, x in push(col, tr).items():
-                if (s ^ t).bit_count() & 1:
-                    raise ValueError("the symmetric form joins even and odd monomials")
-                row[s >> 1] = x
-            blocks[t.bit_count() & 1][t >> 1] = row
-        stack += [(t | 1 << i, push(col, gens[i])) for i in range(t.bit_length(), lat.rank)]
-    alternating_ok = all(row == [-x for x in col] for b in alt for row, col in zip(b, zip(*b)))
-    inertia = tuple(map(sum, zip(*map(linalg.inertia, sym))))
     return KSReport(
-        j_square_scalar=j_square,
-        riemann_blocks=tuple(tuple(map(tuple, block)) for block in sym),
-        alternating_ok=alternating_ok,
+        j_square_scalar=-g[0][0] * g[1][1],
+        orientation=o,
+        alternating_ok=True,
         symmetric_ok=True,
-        definite=inertia in ((n, 0, 0), (0, n, 0)),
-        inertia=inertia,
+        definite=True,
+        inertia=(0, n, 0) if o > 0 else (n, 0, 0),
         torus_dim=n,
         complex_dim=n // 2,
     )

@@ -232,8 +232,9 @@ def nikulin_embeddable(lat: Lattice) -> EmbeddingReport:
     when n or n' exceeds 19, or when rank + l(A_L) > 22 for l the number of invariant
     factors of the discriminant group: a primitive T in the K3 lattice
     has A_T isomorphic to the discriminant group of its complement
-    (Nikulin 1980, Prop. 1.6.1), so l(A_T) <= 22 - rank T.  Otherwise the
-    criteria are silent and both answers are None.
+    (Nikulin 1980, Prop. 1.6.1), so l(A_T) <= 22 - rank T.  It occurs
+    (unique None) when rank + l(A_L) < 22 (Nikulin 1980, Cor. 1.12.3).
+    Otherwise the criteria are silent and both answers are None.
     """
     if not lat.even:
         raise UnsupportedSignature("criterion applies to even lattices only")
@@ -247,9 +248,12 @@ def nikulin_embeddable(lat: Lattice) -> EmbeddingReport:
     else:
         raise UnsupportedSignature(
             "criterion applies to signatures (2, n) and (1, n') only")
-    if occurs is None and (
-            q > 19 or lat.rank + len(discriminant_group(lat).invariant_factors) > 22):
+    if occurs is None and q > 19:
         occurs = False
+    elif occurs is None:
+        length = lat.rank + len(discriminant_group(lat).invariant_factors)
+        if length != 22:
+            occurs = length < 22
     return EmbeddingReport(occurs=occurs, unique=unique)
 
 

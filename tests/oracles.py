@@ -19,7 +19,10 @@ approximations.  Nothing imports from the enumeration, theta, linalg,
 clifford, gauss, numberfield or transfer modules, except the Kuga-Satake
 forms: ks_forms is the entry-by-entry product-and-trace loop, on
 clifford's products (checked against the rewriting oracle) with monomial
-traces summed word by word instead of in closed form.
+traces summed word by word instead of in closed form; ks_blocks is the
+dense reference for kuga_satake's closed-form inertia, a walk over all
+2^rank monomials on clifford's integer tables (checked against ks_forms),
+and ks_inertia takes linalg.inertia on its blocks.
 """
 
 from __future__ import annotations
@@ -472,6 +475,65 @@ def ks_forms(lat: Lattice, a, j):
         return [[trace(clifford.multiply(x, y)) for y in rev] for x in left]
 
     return form(clifford.scalar_element(lat, 1)), form(j)
+
+
+def ks_blocks(lat: Lattice, a, j):
+    """The forms tr(a x y^iota) and tr(a x j y^iota) on the 2^rank monomials,
+    each as its even and odd parity blocks of integer rows in mask order,
+    scaled by a.den and by a.den * j.den.  Row t of a block is column t of
+    its form, so the first form's blocks hold its transpose.
+
+    Entry (s, t) sums over u the coefficient of e_u in a e_s (or a e_s j)
+    times tau(e_u rev(e_t)); a depth-first walk over t pushes that column,
+    sparse, through transposed tables into both forms and into the column
+    of t + 2^i.  An entry joining even and odd monomials raises ValueError.
+    """
+    from k3cycles import clifford
+
+    table = clifford._table(lat.gram)
+    n = 1 << lat.rank
+    a, j = dict(a.nums), dict(j.nums)
+
+    def transposed(maps) -> list[list]:  # out[u]: (s, c) for c e_u in maps[s]
+        out: list[list] = [[] for _ in range(n)]
+        for s, terms in enumerate(maps):
+            for u, c in terms.items():
+                out[u].append((s, c))
+        return out
+
+    def push(col: dict, tr: list) -> dict:
+        acc: dict = {}
+        for m, v in col.items():
+            for u, c in tr[m]:
+                acc[u] = acc.get(u, 0) + c * v
+        return {u: x for u, x in acc.items() if x}
+
+    xs = [table.product(a, {s: 1}) for s in range(n)]
+    ae, aej = transposed(xs), transposed(table.product(x, j) for x in xs)
+    gens = [transposed(table.gen(u, i) for u in range(n)) for i in range(lat.rank)]
+    # column t: row t >> 1 of block parity(t), entry s at s >> 1 (2k, 2k + 1 differ in parity)
+    alt, sym = [[None] * (n // 2) for _ in (0, 1)], [[None] * (n // 2) for _ in (0, 1)]
+    stack = [(0, {m: x for m in range(n) if (x := table.tau(m))})]
+    while stack:
+        t, col = stack.pop()
+        for blocks, tr in ((alt, ae), (sym, aej)):
+            row = [0] * (n // 2)
+            for s, x in push(col, tr).items():
+                if (s ^ t).bit_count() & 1:
+                    raise ValueError("the form joins even and odd monomials")
+                row[s >> 1] = x
+            blocks[t.bit_count() & 1][t >> 1] = row
+        stack += [(t | 1 << i, push(col, gens[i])) for i in range(t.bit_length(), lat.rank)]
+    return alt, sym
+
+
+def ks_inertia(lat: Lattice, a, j) -> tuple[int, int, int]:
+    """Inertia of tr(a x j y^iota) on all monomials: linalg.inertia summed over
+    ks_blocks' two parity blocks (ValueError if a block is not symmetric)."""
+    from k3cycles import linalg
+
+    _alt, sym = ks_blocks(lat, a, j)
+    return tuple(map(sum, zip(*map(linalg.inertia, sym))))
 
 
 def gauss_sum_terms(lat: Lattice, a: int, c: int) -> tuple[complex, float]:

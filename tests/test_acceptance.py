@@ -229,11 +229,12 @@ def test_criterion_07_kuga_satake_certification():
             assert report.alternating_ok and report.symmetric_ok and report.definite
             dim = 1 << r
             assert report.inertia in ((dim, 0, 0), (0, dim, 0))
-            # <x j, y> is integral: a.den * j.den divides every block entry
-            scale = (kuga_satake.polarizer(lat, kuga_satake.default_splitting(lat)).den
-                     * kuga_satake.j_element(plane)[0].den)
-            assert all(x % scale == 0 for block in report.riemann_blocks
-                       for row in block for x in row)
+            # <x j, y> is integral: a.den * j.den divides every entry of the
+            # dense oracle's blocks
+            a = kuga_satake.polarizer(lat, kuga_satake.default_splitting(lat))
+            j = kuga_satake.j_element(plane)[0]
+            _alt, sym = oracles.ks_blocks(lat, a, j)
+            assert all(x % (a.den * j.den) == 0 for block in sym for row in block for x in row)
             # membership test agrees with orthogonality, random pairs
             for zpair in ((z1, z2), (z1, tuple(a + b for a, b in zip(z1, z2)))):
                 pl = kuga_satake.period_plane(lat, *zpair)

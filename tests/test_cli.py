@@ -623,16 +623,15 @@ class TestKugaSatake:
         assert doc["inertia"] == [0, 256, 0]
         assert doc["special_endo_rank"] == 6
 
-    def test_rank_cap(self, capsys, tmp_path):
+    def test_rank_eleven_answers(self, capsys, tmp_path):
         path = tmp_path / "nine_two.json"
         diag = [2] * 9 + [-2] * 2
         path.write_text(json.dumps(
             {"gram": [[d if i == j else 0 for j in range(11)] for i, d in enumerate(diag)]}
         ))
         start = time.perf_counter()
-        err = error_json(
+        doc = invoke_json(
             capsys,
-            EXIT_INVALID,
             "ks",
             "--lattice",
             str(path),
@@ -642,7 +641,28 @@ class TestKugaSatake:
             "0,0,0,0,0,0,0,0,0,0,1",
         )
         assert time.perf_counter() - start < 0.5
-        assert err["type"] == "RankLimitExceeded"
+        assert doc["inertia"] in ([0, 2048, 0], [2048, 0, 0])
+        assert doc["definite"] is True and doc["torus_dim"] == 2048
+
+    def test_rank_21_witness_matches_golden(self, capsys):
+        # the d = 7 witness's trace lattice, negated to signature (19, 2), and
+        # a plane pairing with both vectors of the default negative part
+        data = Path(__file__).parent / "data"
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys,
+            "ks",
+            "--lattice",
+            str(data / "ks_d7_witness.json"),
+            "--z1",
+            "0,0,0,1,0,0,0,0,1,0,0,0,0,0,-1,1,-1,1,1,1,1",
+            "--z2",
+            "-1,1,-1,1,1,1,1,1,0,0,0,0,0,0,0,0,0,1,0,0,0",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK, err
+        assert out == (data / "ks_d7_witness_expected.json").read_text(encoding="utf-8")
+        assert json.loads(out)["inertia"] == [2 ** 21, 0, 0]
 
 
 class TestTransfer:

@@ -1,19 +1,17 @@
 """Period planes, polarizers, and torus certification reports."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from k3cycles import clifford, kuga_satake, linalg
+from k3cycles import clifford, linalg
 from k3cycles.errors import (
     AmbientMismatch,
     BadPolarizer,
     BadSplitting,
     NotNegativePlane,
-    RankLimitExceeded,
     UnsupportedSignature,
 )
 from k3cycles.kuga_satake import (
@@ -41,16 +39,16 @@ THREE_TWO = Lattice((
 CASES = (ONE_TWO, TWO_TWO, THREE_TWO)
 
 
-def form_scale(lat, splitting, plane):
-    """a.den * j.den: the factor between <x j, y> and riemann_blocks."""
-    return polarizer(lat, splitting).den * j_element(plane)[0].den
+def dense(lat, splitting, plane):
+    """The Clifford elements a and j behind <x j, y>, for the dense oracles."""
+    return lat, polarizer(lat, splitting), j_element(plane)[0]
 
 
-def full_form(report):
+def full_form(blocks):
     """The 2^rank x 2^rank matrix rebuilt from the two parity blocks."""
-    n = report.torus_dim
+    n = 2 * len(blocks[0])
     par = [m.bit_count() & 1 for m in range(n)]
-    return [[report.riemann_blocks[par[s]][s >> 1][t >> 1] if par[s] == par[t] else 0
+    return [[blocks[par[s]][s >> 1][t >> 1] if par[s] == par[t] else 0
              for t in range(n)] for s in range(n)]
 
 
@@ -127,12 +125,10 @@ class TestReport:
             n = 1 << lat.rank
             assert report.alternating_ok and report.symmetric_ok
             assert report.definite
-            assert report.inertia in ((n, 0, 0), (0, n, 0))
             assert report.torus_dim == n
             assert report.complex_dim * 2 == n
             assert report.j_square_scalar == -4
-            scale = form_scale(lat, default_splitting(lat), tail_plane(lat))
-            assert all(x % scale == 0 for row in full_form(report) for x in row)
+            assert report.orientation > 0 and report.inertia == (0, n, 0)
 
     def test_rejects_wrong_signature(self):
         with pytest.raises(UnsupportedSignature):
@@ -150,28 +146,27 @@ class TestReport:
         def no_clifford(*_args, **_kwargs):
             raise AssertionError("Clifford work started on a foreign plane")
 
-        for name in ("element", "multiply", "main_involution", "trace", "_table"):
+        for name in ("element", "vector_element", "multiply", "main_involution", "trace",
+                     "_table"):
             monkeypatch.setattr(clifford, name, no_clifford)
         with pytest.raises(AmbientMismatch):
             ks_report(lat, splitting, plane)
 
-    def test_rank_cap_raises_before_clifford_work(self, monkeypatch):
-        n = kuga_satake.KS_RANK_CAP + 1
+    def test_report_does_no_clifford_work(self, monkeypatch):
+        def no_clifford(*_args, **_kwargs):
+            raise AssertionError("ks_report started Clifford work")
+
+        for name in ("element", "vector_element", "multiply", "main_involution", "trace",
+                     "_table"):
+            monkeypatch.setattr(clifford, name, no_clifford)
+        n = 11
         lat = Lattice(tuple(
             tuple((2 if i < n - 2 else -2) if i == j else 0 for j in range(n))
             for i in range(n)
         ))
-        plane = tail_plane(lat)
-
-        def no_clifford(*_args, **_kwargs):
-            raise AssertionError("Clifford work started above the rank cap")
-
-        for name in ("element", "multiply", "main_involution", "trace", "_table"):
-            monkeypatch.setattr(clifford, name, no_clifford)
-        start = time.perf_counter()
-        with pytest.raises(RankLimitExceeded):
-            ks_report(lat, default_splitting(lat), plane)
-        assert time.perf_counter() - start < 0.5
+        report = ks_report(lat, default_splitting(lat), tail_plane(lat))
+        assert report.inertia == (0, 2048, 0) and report.complex_dim == 1024
+        assert report.j_square_scalar == -4 and report.definite
 
 
 def root_plane(k):
@@ -186,7 +181,7 @@ def root_plane(k):
     return gram
 
 
-def ks_draw(seed, r):
+def ks_draw(seed, r, general=False):
     """A seeded signature (r - 2, 2) lattice, splitting and rational plane.
 
     seed % 3 picks A_{r-2} (+) <-2> (+) <-2> with the default splitting (0),
@@ -194,7 +189,10 @@ def ks_draw(seed, r):
     (2); the last two get an explicit splitting by the orthogonal basis
     f with every vector scaled by 1 to 3.  The plane vectors are rational
     combinations of the two negative basis vectors, so j often has
-    denominators.
+    denominators.  With general, each plane vector also gets a nonzero
+    rational multiple of every positive basis vector, drawn again at half
+    the size until the plane is negative definite: a plane in general
+    position.
     """
     rng = random.Random(seed)
     kind = seed % 3
@@ -224,6 +222,16 @@ def ks_draw(seed, r):
         if p[0][0] * p[1][1] != p[0][1] * p[1][0]:
             break
     z1, z2 = ([c[0] * x + c[1] * y for x, y in zip(f[r - 2], f[r - 1])] for c in p)
+    shrink = Fraction(1)
+    while general:
+        q = [[Fraction(rng.choice((-1, 1)), rng.randint(1, 4)) * shrink for _ in range(r - 2)]
+             for _ in range(2)]
+        w1, w2 = ([x + sum(c * row[m] for c, row in zip(qk, f)) for m, x in enumerate(zk)]
+                  for zk, qk in zip((z1, z2), q))
+        try:
+            return lat, splitting, period_plane(lat, w1, w2)
+        except NotNegativePlane:
+            shrink /= 2
     return lat, splitting, period_plane(lat, z1, z2)
 
 
@@ -252,16 +260,18 @@ def test_ks_draws_cover_hard_cases():
 def test_report_matches_entrywise_oracle(seed, rank):
     lat, splitting, plane = ks_draw(seed, rank)
     report = ks_report(lat, splitting, plane)
-    alt, sym = oracles.ks_forms(lat, polarizer(lat, splitting), j_element(plane)[0])
+    _lat, a, j = dense(lat, splitting, plane)
+    alt_blocks, sym_blocks = oracles.ks_blocks(lat, a, j)
+    alt, sym = oracles.ks_forms(lat, a, j)
     n = 1 << rank
-    scale = form_scale(lat, splitting, plane)
-    assert full_form(report) == [[x * scale for x in row] for row in sym]
-    assert report.alternating_ok == all(
-        alt[s][t] == -alt[t][s] for s in range(n) for t in range(n))
-    assert report.symmetric_ok == all(
-        sym[s][t] == sym[t][s] for s in range(n) for t in range(n))
+    # the blocks' rows are the forms' columns
+    assert full_form(alt_blocks) == [[x * a.den for x in col] for col in zip(*alt)]
+    assert full_form(sym_blocks) == [[x * a.den * j.den for x in row] for row in sym]
+    assert all(alt[s][t] == -alt[t][s] and sym[s][t] == sym[t][s]
+               for s in range(n) for t in range(n))
     assert report.alternating_ok and report.symmetric_ok and report.definite
-    assert report.inertia == oracles.inertia(sym)
+    assert report.inertia == oracles.inertia(sym) == tuple(
+        map(sum, zip(*map(linalg.inertia, sym_blocks))))
 
 
 # Beyond the entrywise oracle: a sheared and an A6-plane draw at rank 8.
@@ -269,8 +279,8 @@ def test_report_matches_entrywise_oracle(seed, rank):
 def test_block_inertia_matches_full_form_at_rank_8(seed):
     lat, splitting, plane = ks_draw(seed, 8)
     report = ks_report(lat, splitting, plane)
-    assert report.inertia == linalg.inertia(full_form(report))
-    assert report.alternating_ok and report.symmetric_ok and report.definite
+    _alt, sym = oracles.ks_blocks(*dense(lat, splitting, plane))
+    assert report.inertia == linalg.inertia(full_form(sym))
 
 
 def test_rank_9_a7_plane_is_definite():
@@ -278,7 +288,26 @@ def test_rank_9_a7_plane_is_definite():
     assert lat.gram[:7] == tuple(tuple(row) for row in root_plane(7)[:7])
     report = ks_report(lat, splitting, plane)
     assert report.inertia in ((512, 0, 0), (0, 512, 0))
-    assert report.alternating_ok and report.symmetric_ok and report.definite
+    assert report.inertia == oracles.ks_inertia(*dense(lat, splitting, plane))
+
+
+# (seed, rank), 102 draws.  j has about rank^2 / 2 monomials on a general
+# plane, and the dense walk then takes 0.13 s at rank 7 and 0.5 s at rank 8.
+GENERAL_DRAWS = [(seed, r) for r, count in ((3, 32), (4, 32), (5, 24), (6, 10), (7, 3), (8, 1))
+                 for seed in range(count)]
+
+
+def test_closed_form_matches_dense_oracle_on_general_planes():
+    positive = []
+    for seed, r in GENERAL_DRAWS:
+        lat, splitting, plane = ks_draw(seed, r, general=True)
+        # the plane leaves the negative part: it pairs with the positive part
+        assert any(lat.inner(v, z) for v in splitting[0] for z in (plane.z1, plane.z2))
+        report = ks_report(lat, splitting, plane)
+        assert report.inertia == oracles.ks_inertia(*dense(lat, splitting, plane)), (seed, r)
+        positive.append(report.orientation > 0)
+    assert len(positive) >= 100 and any(positive) and not all(positive)
+    assert {seed % 3 for seed, _r in GENERAL_DRAWS} == {0, 1, 2}
 
 
 def test_report_hashes():
@@ -288,25 +317,18 @@ def test_report_hashes():
     assert len({reports[0], reports[1], ks_report(*ks_draw(3, 4))}) == 2
 
 
-def _patched_polarizer(monkeypatch, change):
-    real = kuga_satake.polarizer
-    monkeypatch.setattr(kuga_satake, "polarizer", lambda lat, sp: change(real(lat, sp)))
-
-
-def test_non_symmetric_form_raises_like_inertia(monkeypatch):
+def test_non_symmetric_form_raises_like_inertia():
     # a + 1 is not involution-antisymmetric, so <x j, y> is not symmetric
-    _patched_polarizer(monkeypatch, lambda a: a + clifford.scalar_element(a.ambient, 1))
-    lat, splitting, plane = ks_draw(6, 5)
+    lat, a, j = dense(*ks_draw(6, 5))
     with pytest.raises(ValueError, match="inertia requires a symmetric matrix"):
-        ks_report(lat, splitting, plane)
+        oracles.ks_inertia(lat, a + clifford.scalar_element(lat, 1), j)
 
 
-def test_parity_split_is_checked(monkeypatch):
+def test_parity_split_is_checked():
     # an odd polarizer joins even and odd monomials, so the blocks do not split
-    _patched_polarizer(monkeypatch, lambda a: clifford.basis_element(a.ambient, 1))
-    lat, splitting, plane = ks_draw(4, 4)
+    lat, _a, j = dense(*ks_draw(4, 4))
     with pytest.raises(ValueError, match="joins even and odd monomials"):
-        ks_report(lat, splitting, plane)
+        oracles.ks_blocks(lat, clifford.basis_element(lat, 1), j)
 
 
 class TestSpecialEndo:

@@ -181,11 +181,26 @@ class TestNikulin:
         assert report.occurs is True and report.unique is None
 
     def test_beyond_the_criterion(self):
-        lat = direct_sum(
-            hyperbolic_plane(), e8_lattice(-1), *[rescale(root_a1(), -1)] * 2
-        )
+        # signature (2, 11) with A_L = (Z/2)^9: rank + l(A_L) = 22 exactly
+        u2 = direct_sum(hyperbolic_plane(), hyperbolic_plane())
+        lat = direct_sum(u2, *[rescale(root_a1(), -1)] * 9)
+        assert lat.rank + len(discriminant_group(lat).invariant_factors) == 22
         report = nikulin_embeddable(lat)
         assert report.occurs is None and report.unique is None
+
+    @pytest.mark.parametrize("parts, sig", [
+        ((hyperbolic_plane(), hyperbolic_plane(), e8_lattice(-1)), (2, 10)),
+        ((hyperbolic_plane(), e8_lattice(-1), e8_lattice(-1)), (1, 17)),
+        ((hyperbolic_plane(), hyperbolic_plane(), *[rescale(root_a1(), -1)] * 8), (2, 10)),
+        ((hyperbolic_plane(), e8_lattice(-1), *[rescale(root_a1(), -1)] * 2), (1, 11)),
+    ])
+    def test_short_discriminant_occurs(self, parts, sig):
+        # rank + l(A_L) < 22 (12, 18, 20 and 14): Nikulin's Cor. 1.12.3
+        lat = direct_sum(*parts)
+        assert signature(lat) == Signature(*sig)
+        assert lat.rank + len(discriminant_group(lat).invariant_factors) < 22
+        report = nikulin_embeddable(lat)
+        assert report.occurs is True and report.unique is None
 
     def test_discriminant_too_long_does_not_occur(self):
         # signature (2, 12) with A_L = (Z/2)^14: rank + l(A_L) = 28 > 22

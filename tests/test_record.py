@@ -35,8 +35,8 @@ SAMPLES = {
     GaussSumValue: [(1 + 0j, 1, 4, 8, 1.0), (-1j, 3, 5, 2, 0.2)],
     MilgramResult: [(1j, 1j, 2, 0.0, True), (1 + 0j, -1 + 0j, 4, 2.0, False)],
     PeriodPlane: [(root_a1(), (HALF,), (Fraction(0),)), (E8, (1,) * 8, (0,) * 8)],
-    KSReport: [(Fraction(-1), (((1,),), ((2,),)), True, True, False, (1, 1, 0), 4, 2),
-               (Fraction(-3), ((), ()), True, True, True, (0, 2, 0), 2, 1)],
+    KSReport: [(Fraction(-1), Fraction(2), True, True, False, (1, 1, 0), 4, 2),
+               (Fraction(-3), Fraction(-1, 2), True, True, True, (0, 2, 0), 2, 1)],
     FieldElement: [(F, (1, 2), 1), (F, (0, 1), 3), (F, (0, 0), 1)],
     TotallyRealField: [((-2, 0, 1),), ((-5, 0, 1), ((1, 0), (HALF, HALF))), ((-1, -3, 0, 1),)],
     CliffordElement: [(E8, ((0, 1), (3, 2)), 5), (E8, (), 1), (root_a1(), ((1, 1),), 1)],
