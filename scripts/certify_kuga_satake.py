@@ -59,6 +59,11 @@ def parse_vector(text):
     return tuple(Fraction(part.strip()) for part in text.split(","))
 
 
+def show(z):
+    """A vector as a tuple of its entries' str, so 1/2 and not Fraction(1, 2)."""
+    return "(" + ", ".join(map(str, z)) + "," * (len(z) == 1) + ")"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lattice", help="builtin name or JSON file")
@@ -72,7 +77,7 @@ def main(argv=None):
     z2 = parse_vector(args.z2) if args.z2 else tuple(int(i == r - 1) for i in range(r))
 
     print(f"lattice: rank {r}, signature {tuple(signature(lat))}")
-    print(f"plane:   z1 = {z1}, z2 = {z2}")
+    print(f"plane:   z1 = {show(z1)}, z2 = {show(z2)}")
     plane = period_plane(lat, z1, z2)
     splitting = default_splitting(lat)
     report = ks_report(lat, splitting, plane)

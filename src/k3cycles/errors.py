@@ -50,7 +50,7 @@ class InvalidModulus(K3CyclesError):
 
 
 class OddLatticeUnsupported(K3CyclesError):
-    """Discriminant-form sums are only defined for even lattices."""
+    """Discriminant-form sums, and Gauss sums with a*c odd, need an even lattice."""
 
 
 class AmbientMismatch(K3CyclesError):

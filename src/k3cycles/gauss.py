@@ -1,23 +1,17 @@
 """Generalized Gauss sums over residue classes and discriminant forms.
 
-Both sums take their phases from integer quadratic forms reduced exactly
-modulo an even integer, and exponentiate each distinct phase once; the only
-float error is the rounding of those exponentials and of the final sum.
-
-`gauss_sum` walks x in (Z/c)^n in `itertools.product` order.  For each
-prefix x_1..x_{n-2} it carries a*Q mod 2c and the linear coefficients of
-x_{n-1} and x_n mod 2c.  Per such triple it memoizes the c blocks of the
-last coordinate, one per x_{n-1}: references to blocks memoized per pair
-(Q, coefficient of x_n), never copies.  That memo stops growing at
-MEMO_REFERENCE_CAP references, which only large c reaches (rank 4 near the
-residue cap); triples past it rebuild their c references on each visit.
-The terms are added by a Kahan sum in product order, which fixes every bit
-of the result.
+`gauss_sum` is in closed form.  By CRT over c = prod p^k it is a product of
+sums over y mod p^k of e(b y^T G y / 2p^k), b = a c / p^k and e(t) =
+exp(2 pi i t).  `linalg.jordan` splits G over Z_(p) into blocks whose sums
+are eighth roots of unity times powers of sqrt(p) (Berndt-Evans-Williams,
+Gauss and Jacobi Sums, 1.5; Conway-Sloane, SPLAG ch. 15).  The product is
+kept exactly, as e(j/8) sqrt(rational), and each float component is
+rounded once.
 
 `milgram_invariant` scales the discriminant-group generators by their
 common denominator den to integer vectors, so the norm of every coset is an
 integer mod 2*den^2 (well defined because the lattice is even).  It counts
-the cosets per phase from the same prefix walk, folding in the last two
+the cosets per phase from a prefix walk, folding in the last two
 invariant factors one at a time, exponentiates each phase once and feeds
 every value to math.fsum as often as its phase occurs.  fsum rounds the
 exact sum once, so the total does not depend on the order of the cosets.
@@ -37,9 +31,9 @@ from .errors import (
     OddLatticeUnsupported,
 )
 from .lattice import Lattice, discriminant_group, signature
+from .linalg import jordan
 
-RESIDUE_TERM_CAP = 10_000_000
-MEMO_REFERENCE_CAP = 1 << 14  # about 0.2 MB of prefix memo at any c
+TRIAL_DIVISION_CAP = 10 ** 6
 MILGRAM_TOLERANCE = 1e-9
 
 
@@ -96,6 +90,27 @@ def _phase_form(gram, sizes, mod):
     return diag, cross, [1] * pad + list(sizes)
 
 
+def _split(t: int, p: int) -> tuple[int, int]:
+    """(w, t / p^w) with p^w exactly dividing t != 0."""
+    w = 0
+    while t % p == 0:
+        t, w = t // p, w + 1
+    return w, t
+
+
+def _prime_powers(c: int) -> list[tuple[int, int]]:
+    """(p, k) per p^k exactly dividing c, by trial division up to the cap."""
+    out, d = [], 2
+    while d * d <= c:
+        if d > TRIAL_DIVISION_CAP:
+            raise EnumerationLimitExceeded(f"cannot factor c: cofactor {c} has no prime <= 10^6")
+        if c % d == 0:
+            k, c = _split(c, d)
+            out.append((d, k))
+        d += 1 + (d > 2)
+    return out + [(c, 1)] * (c > 1)
+
+
 @record
 class GaussSumValue:
     value: complex
@@ -108,55 +123,58 @@ class GaussSumValue:
 def gauss_sum(lat: Lattice, a: int, c: int) -> GaussSumValue:
     """c^(-rank/2) * sum over x in (Z/c)^rank of exp(pi*i*a*(x,x)/c).
 
-    The phase a*(x,x) is reduced mod 2c exactly before exponentiation.
-    Refuses when c^rank exceeds the residue term cap.
+    Refuses an odd lattice when a*c is odd (the sum is then not defined), a c
+    that trial division cannot factor and a value beyond the float range.
     """
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-        raise InvalidModulus("modulus c must be a positive integer")
+    if not isinstance(c, int) or isinstance(c, bool) or not 0 < c < 2 ** 1024:
+        raise InvalidModulus("modulus c must be a positive integer below 2^1024")
     if not isinstance(a, int) or isinstance(a, bool):
         raise InvalidModulus("parameter a must be an integer")
     n = lat.rank
-    if c ** n > RESIDUE_TERM_CAP:
-        raise EnumerationLimitExceeded(
-            f"residue enumeration would need {c ** n} terms (cap {RESIDUE_TERM_CAP})")
-    two_c = 2 * c
-    table = []
-    for phase in range(two_c):
-        z = cmath.exp(1j * math.pi * phase / c)
-        table.append((z.real, z.imag))
-    diag, cross, sizes = _phase_form([[a * x for x in row] for row in lat.gram],
-                                     [c] * n, two_c)
-    (s1, last), (d1, d), e = sizes[-2:], diag[-2:], cross[-2][-1]
-    blocks = {}  # (Q, coefficient of x_n) -> the c terms of the last coordinate
-    memo = {}  # prefix key -> the blocks for x_{n-1} = 0..s1-1, by reference
-    re = im = 0.0
-    cr = ci = 0.0  # Kahan compensation
-    for key in _prefix_phases(diag, cross, sizes, two_c):
-        zs = memo.get(key)
-        if zs is None:
-            q, l1, l2 = key
-            zs = []
-            for x in range(s1):
-                ql = ((q + l1 * x + d1 * x * x) % two_c, (l2 + e * x) % two_c)
-                b = blocks.get(ql)
-                if b is None:
-                    b = blocks[ql] = [table[(ql[0] + ql[1] * y + d * y * y) % two_c]
-                                      for y in range(last)]
-                zs.append(b)
-            if len(memo) * s1 < MEMO_REFERENCE_CAP:
-                memo[key] = zs
-        for zr, zi in itertools.chain.from_iterable(zs):
-            y = zr - cr
-            t = re + y
-            cr = (t - re) - y
-            re = t
-            y = zi - ci
-            t = im + y
-            ci = (t - im) - y
-            im = t
-    norm = c ** (-n / 2.0)
-    return GaussSumValue(value=complex(re, im) * norm, a=a, c=c, rank=n,
-                         normalization=norm)
+    if a * c % 2 and not lat.even:
+        raise OddLatticeUnsupported(
+            "the Gauss sum of an odd lattice needs a*c even: otherwise the term of x "
+            "changes sign under x_j -> x_j + c, so the sum over (Z/c)^n is not defined")
+    turn, num, den = 0, 1, 1  # the value is e(turn/8) sqrt(num/den)
+    for p, k in _prime_powers(c):
+        pk, two = p ** k, p == 2
+        # b (y,y) is even, so at odd p e(b (y,y) / 2p^k) = e(b (p^k+1)/2 (y,y) / p^k)
+        b = a * c // pk % (2 * pk) if two else a * c // pk * (pk + 1) // 2 % pk
+        # The terms see G mod 2p^k (diag(1, .., 1, det) at odd p prime to det).
+        # (x,) has the term e(b x y^2 / P), P = 2p^k at p = 2 and p^k otherwise,
+        # (x, y, z) e(b q / 2^k), q = x/2 y1^2 + y y1 y2 + z/2 y2^2 ~ 2^v y1 y2 or
+        # 2^v (y1^2 + y1 y2 + y2^2); each adds its sum's e(j/8) p^(e/2) to turn, e.
+        e = -n * k
+        for x, *yz in ([(1,)] * (n - 1) + [(lat.det,)] if n and not two and lat.det % p
+                       else jordan(lat.gram, p, k + 1)[0]):
+            if yz:
+                y, z = yz
+                w = _split(b * y, 2)[0] if b * y % 2 ** k else k
+                e += 2 * (k + w)
+                turn += 4 * ((k - w) & ((y * y - x * z) // (y & -y) ** 2 % 8 == 5))
+            elif t := b * x % (pk << two):
+                w, t = _split(t, p)
+                m = k + two - w  # the sum is p^(k-m) times the classical one mod p^m
+                num *= not two or m > 1  # the classical sum mod 2 is 1 - 1
+                e += 2 * k - m + two
+                if two:
+                    turn += (1 if t % 4 == 1 else 7) + 4 * (m & 1 and t % 8 in (3, 5))
+                elif m & 1:  # the Legendre symbol (t/p), and epsilon_p = 1 or i
+                    turn += 4 * (pow(t, p // 2, p) != 1) + 2 * (p % 4 == 3)
+            else:
+                e += 2 * k
+        num, den = num * p ** max(0, e), den * p ** max(0, -e)
+    # sqrt(num/den) rounded once: a root of at least 56 bits and a sticky bit
+    den <<= turn & 1
+    shift = max(0, 112 + den.bit_length() - num.bit_length()) // 2
+    root = math.isqrt((num << 2 * shift) // den)
+    try:
+        r = (2 * root + (root * root * den != num << 2 * shift)) / (1 << shift + 1)
+    except OverflowError:
+        raise InvalidModulus(f"at c = {c} the value is beyond the float range") from None
+    cos = (1, 1, 0, -1, -1, -1, 0, 1)
+    value = complex(cos[turn % 8] * r, cos[(turn - 2) % 8] * r) if num else 0j
+    return GaussSumValue(value=value, a=a, c=c, rank=n, normalization=c ** (-n / 2.0))
 
 
 @record

@@ -202,6 +202,46 @@ def _symmetric_pass(a, basis: bool = False) -> tuple[IntMatrix, list[int]]:
     return m, s
 
 
+def jordan(gram, p: int, k: int) -> tuple[list[tuple[int, ...]], IntMatrix]:
+    """p-adic Jordan splitting mod q = p^k: (blocks, u) with u invertible
+    mod p and u gram u^T = the block-diagonal matrix of the blocks mod q,
+    all entries in [0, q).  A block is (x,) or, at p = 2 only, (x, y, z) for
+    [[x, y], [y, z]] with v_2(y) < v_2(x), v_2(z).  Each Schur step pivots
+    on an entry of least valuation, diagonal if it can be (at odd p after
+    e_r <- e_r + e_s); a trailing block that is 0 mod q gives (0,) blocks.
+    """
+    q, n = p ** k, len(gram)
+    m = [[x % q for x in row] for row in gram]
+    u, blocks, i = int_identity(n), [], 0
+    while i < n:
+        trail = [(r, r) for r in range(i, n)] + [
+            (r, s) for r in range(i, n) for s in range(r + 1, n)]
+        g, _, r, s = next(((1, 0, r, s) for r, s in trail if m[r][s] % p), None) or min(
+            (math.gcd(m[r][s], q), r != s, r, s) for r, s in trail)
+        if r != s and p > 2:
+            for rows in (m, u):
+                rows[r] = [(x + y) % q for x, y in zip(rows[r], rows[s])]
+            for row in m[i:]:
+                row[r] = (row[r] + row[s]) % q
+            s = r
+        for dst, src in enumerate(dict.fromkeys((r, s)), i):
+            m[dst], m[src], u[dst], u[src] = m[src], m[dst], u[src], u[dst]
+            for row in m[i:]:
+                row[dst], row[src] = row[src], row[dst]
+        piv, i = i, i + 1 + (r != s)
+        x, y, z = m[piv][piv], m[piv][i - 1], m[i - 1][i - 1]
+        blocks.append((x,) if r == s else (x, y, z))
+        # row t -= f . pivot rows, f = (row t's pivot entries) adj / det
+        d, gg, adj = (x, g, [[1]]) if r == s else (x * z - y * y, g * g, [[z, -y], [-y, x]])
+        inv = pow(d // gg, -1, q) if g < q else 0  # g = q: the trailing block is 0
+        for t in range(i, n):
+            for j, col in enumerate(adj, piv):
+                f = sum(a * b for a, b in zip(m[t][piv:i], col)) // gg * inv % q
+                for rows, lo in ((m, i), (u, 0)) if f else ():
+                    rows[t][lo:] = [(a - f * b) % q for a, b in zip(rows[t][lo:], rows[j][lo:])]
+    return blocks, u
+
+
 def inertia(a) -> tuple[int, int, int]:
     """Sylvester inertia (p, q, z) of a symmetric rational matrix.
 

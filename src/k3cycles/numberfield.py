@@ -127,7 +127,7 @@ class FieldElement:
         return self + (-other)
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
+        return _reduced(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -159,9 +159,11 @@ class FieldElement:
 
 
 def _reduced(field: TotallyRealField, num: Sequence[int], den: int) -> FieldElement:
-    """The element sum num[n] theta^n / den for den > 0, in lowest terms."""
+    """sum num[n] theta^n / den (den > 0, one num per degree) in lowest terms, unchecked."""
     g = math.gcd(den, *num)
-    return FieldElement(field, tuple(c // g for c in num), den // g)
+    x = object.__new__(FieldElement)
+    x.__dict__.update(field=field, num=tuple(c // g for c in num), den=den // g)
+    return x
 
 
 @record

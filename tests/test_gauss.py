@@ -1,7 +1,9 @@
 """Gauss sums over scaled tori and the discriminant-form signature sum."""
 
 import cmath
+import decimal
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -120,17 +122,29 @@ def gauss_inputs(draw):
             draw(st.integers(1, c_max)))
 
 
+def _near(got: complex, want: complex) -> bool:
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @settings(max_examples=80, deadline=None)
 @given(gauss_inputs())
 @example((Lattice(()), 3, 5))
 @example((Lattice(((-4,),)), 1, 7))
 @example((Lattice(((2, -3), (-3, 0))), 5, 6))
 @example((Lattice(((2, 0, 1), (0, 0, 0), (1, 0, -6))), -2, 7))
-def test_gauss_sum_matches_term_oracle_bitwise(case):
+@example((Lattice(((1, 0), (0, 2))), 3, 4))
+@example((Lattice(((1, 0), (0, 2))), 3, 5))
+def test_gauss_sum_matches_term_oracle(case):
+    # an odd diagonal entry with a*c odd makes the walk depend on the
+    # residues chosen; the closed form refuses exactly those draws
     lat, a, c = case
+    if a * c % 2 and not lat.even:
+        with pytest.raises(OddLatticeUnsupported, match="needs a[*]c even"):
+            gauss_sum(lat, a, c)
+        return
     got = gauss_sum(lat, a, c)
     value, norm = oracles.gauss_sum_terms(lat, a, c)
-    assert repr(got.value) == repr(value)
+    assert _near(got.value, value), (got.value, value)
     assert repr(got.normalization) == repr(norm)
     assert (got.a, got.c, got.rank) == (a, c, lat.rank)
 
@@ -167,18 +181,95 @@ def _sheared_diagonal(*ds):
 ], ids=["rank4", "rank6", "rank8", "rank10", "E8"])
 def test_gauss_sum_matches_term_oracle_at_benchmark_sizes(lat, a, c):
     got = gauss_sum(lat, a, c)
-    assert (repr(got.value), repr(got.normalization)) == tuple(
-        map(repr, oracles.gauss_sum_terms(lat, a, c)))
+    value, norm = oracles.gauss_sum_terms(lat, a, c)
+    assert _near(got.value, value), (got.value, value)
+    assert repr(got.normalization) == repr(norm)
 
 
-def test_gauss_sum_keeps_its_bits_past_the_memo_cap(monkeypatch):
-    # only large c fills the prefix memo; past the cap, prefixes rebuild
-    # their block references and must add the same terms in the same order
-    monkeypatch.setattr(gauss, "MEMO_REFERENCE_CAP", 3 * 5)
-    lat = _sheared_diagonal(-4, -2, 2, 2, 6)
-    for a in (1, 3):
-        got = gauss_sum(lat, a, 5)
-        assert repr(got.value) == repr(oracles.gauss_sum_terms(lat, a, 5)[0])
+def _diagonal_gauss_sums(ds, a, c) -> list[complex]:
+    """c^(-1/2) sum over Z/c of exp(pi i a d x^2 / c) for each even d of ds,
+    each added by math.fsum; their product is the Gauss sum of diag(ds)."""
+    sums = {}
+    for d in set(ds):
+        phases = [a * d * x * x % (2 * c) for x in range(c)]
+        sums[d] = complex(math.fsum(math.cos(math.pi * t / c) for t in phases),
+                          math.fsum(math.sin(math.pi * t / c) for t in phases)) / math.sqrt(c)
+    return [sums[d] for d in ds]
+
+
+def _seeded_shear(seed, n=None):
+    """An even diagonal Gram of rank n (8-20 when not given) under 3n seeded
+    shears, its diagonal and a modulus c <= 10^4, half of them 2^k times an
+    odd number."""
+    rng = random.Random(seed)
+    n = n or rng.randint(8, 20)
+    ds = [rng.choice((-2, 2, 4, -6, 8, 10, -12, 18, 50, -250)) for _ in range(n)]
+    moves = [(rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2)))
+             for _ in range(3 * n)]
+    gram = _sheared([[d * (i == j) for j in range(n)] for i, d in enumerate(ds)], moves)
+    c = rng.choice((2 ** rng.randint(1, 6) * rng.choice((1, 3, 5, 7, 9, 15, 125)),
+                    rng.randint(1, 10_000)))
+    return Lattice(gram), ds, c
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-9, 9))
+@example(885700, 4)  # c = 96 and a factor that is 0
+def test_gauss_sum_of_sheared_diagonal_grams(seed, a):
+    lat, ds, c = _seeded_shear(seed)
+    sums = _diagonal_gauss_sums(ds, a, c)
+    got, want = gauss_sum(lat, a, c).value, math.prod(sums)
+    # a factor that is 0 comes out near 1e-15, times the others
+    scale = math.prod(max(1.0, abs(z)) for z in sums)
+    assert abs(got - want) <= 1e-9 * scale, (ds, a, c, got, want)
+
+
+def test_sheared_grams_reach_entries_in_the_hundreds():
+    assert max(abs(x) for seed in range(5) for row in _seeded_shear(seed)[0].gram
+               for x in row) >= 300
+
+
+def test_gauss_sum_is_exact_on_even_unimodular_lattices():
+    # E8 and K3 are even unimodular of signature 0 mod 8, so every sum with
+    # gcd(a, c) = 1 is exactly 1, with no float error
+    e8 = e8_lattice()
+    for c in [*range(1, 41), 64, 81, 625, 1001, 2 ** 12 * 3 ** 5, 10 ** 6]:
+        for a in range(-12, 13):
+            if math.gcd(a, c) == 1:
+                assert repr(gauss_sum(e8, a, c).value) == "(1+0j)", (a, c)
+    assert repr(gauss_sum(k3_lattice(), 1, 10 ** 6).value) == "(1+0j)"
+
+
+def test_gauss_sum_rounds_each_component_once():
+    # <1> at c = 2: (1 + i) / sqrt 2, both parts the float nearest sqrt(1/2)
+    half = math.sqrt(0.5)
+    assert gauss_sum(Lattice(((1,),)), 1, 2).value == complex(half, half)
+    # A1 at c = 8: 4 e(1/8) / sqrt 8 = 1 + i; at c = 3: i; at c = 2: 1 - 1 = 0
+    assert repr(gauss_sum(root_a1(), 1, 8).value) == "(1+1j)"
+    assert repr(gauss_sum(root_a1(), 1, 3).value) == "1j"
+    assert repr(gauss_sum(root_a1(), 1, 2).value) == "0j"
+    # the zero form of rank 25 at c = 5 sums to 5^12.5, which math.sqrt(5 ** 25)
+    # misses by one unit in the last place
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = float(decimal.Decimal(5 ** 25).sqrt())
+    assert want != math.sqrt(5 ** 25)
+    zero = Lattice(tuple((0,) * 25 for _ in range(25)))
+    assert gauss_sum(zero, 1, 5).value == complex(want, 0.0)
+
+
+def test_gauss_sum_at_rank_20_is_fast():
+    two = tuple(tuple(2 * (i == j) for j in range(20)) for i in range(20))
+    grams = (_seeded_shear(7, 20)[0].gram, two, tuple(row[:20] for row in k3_lattice().gram[:20]))
+    for gram in grams:
+        for c in (510510, 720720, 999983, 10 ** 6):
+            times = []
+            for _ in range(3):
+                lat = Lattice(gram)  # det not yet cached
+                start = time.perf_counter()
+                gauss_sum(lat, 3, c)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.01, (c, gram)
 
 
 @st.composite
@@ -250,25 +341,40 @@ def test_milgram_runs_at_the_cap(monkeypatch):
         milgram_invariant(lat)
 
 
-def test_gauss_refuses_above_the_residue_cap_before_walking(monkeypatch):
-    def no_enumeration(*_args):
-        raise AssertionError("residues enumerated above the cap")
-
-    monkeypatch.setattr(gauss, "_prefix_phases", no_enumeration)
+def test_gauss_refuses_a_modulus_it_cannot_factor():
+    # 1000003^2 > 10^12 has no prime factor up to the trial-division cap
     start = time.perf_counter()
-    with pytest.raises(EnumerationLimitExceeded):
-        gauss_sum(e8_lattice(), 1, 8)
+    with pytest.raises(EnumerationLimitExceeded, match="cannot factor c"):
+        gauss_sum(e8_lattice(), 1, 1000003 ** 2)
     assert time.perf_counter() - start < 0.5
 
 
-def test_gauss_runs_at_the_residue_cap(monkeypatch):
-    # c^n exactly at the cap is summed; one residue more refuses
-    lat = Lattice(((2, 1, 0), (1, 2, 0), (0, 0, -2)))
-    monkeypatch.setattr(gauss, "RESIDUE_TERM_CAP", 5 ** 3)
-    assert repr(gauss_sum(lat, 1, 5).value) == repr(oracles.gauss_sum_terms(lat, 1, 5)[0])
-    monkeypatch.setattr(gauss, "RESIDUE_TERM_CAP", 5 ** 3 - 1)
-    with pytest.raises(EnumerationLimitExceeded):
-        gauss_sum(lat, 1, 5)
+def test_gauss_answers_just_below_the_factoring_cap():
+    # 999983 is the largest prime up to the cap and 999999999989 the largest
+    # below 10^12: trial division certifies both moduli
+    assert gauss.TRIAL_DIVISION_CAP == 10 ** 6
+    for c in (999983 ** 2, 999999999989):
+        assert repr(gauss_sum(e8_lattice(), 1, c).value) == "(1+0j)"
+    # A1 at a prime c = p = 3 mod 4 is the classical sum i sqrt(p) / sqrt(p)
+    assert repr(gauss_sum(root_a1(), 1, 999983).value) == "1j"
+
+
+def test_gauss_refuses_a_value_beyond_the_float_range():
+    # the zero form of rank 62 sums to c^31: 10^124 at c = 10^4, 10^372 at 10^12
+    zero = Lattice(tuple((0,) * 62 for _ in range(62)))
+    assert gauss_sum(zero, 1, 10 ** 4).value == complex(1e124, 0.0)
+    with pytest.raises(InvalidModulus, match="beyond the float range"):
+        gauss_sum(zero, 1, 10 ** 12)
+
+
+def test_gauss_refuses_ill_defined_odd_sums():
+    odd = Lattice(((1, 0), (0, 2)))
+    for a, c in ((1, 1), (1, 3), (-3, 5), (7, 9)):
+        with pytest.raises(OddLatticeUnsupported, match="not defined"):
+            gauss_sum(odd, a, c)
+    # a*c even is well defined on odd lattices
+    for a, c in ((2, 3), (1, 4), (3, 6)):
+        assert _near(gauss_sum(odd, a, c).value, oracles.gauss_sum_terms(odd, a, c)[0])
 
 
 @pytest.mark.parametrize("call, error, fragment", [
@@ -277,6 +383,7 @@ def test_gauss_runs_at_the_residue_cap(monkeypatch):
     (lambda: gauss_sum(e8_lattice(), Fraction(1, 2), 4), InvalidModulus,
      "parameter a must be an integer"),
     (lambda: gauss_sum(e8_lattice(), True, 4), InvalidModulus, "parameter a must be an integer"),
+    (lambda: gauss_sum(e8_lattice(), 1, 2 ** 1024), InvalidModulus, "below 2\\^1024"),
 ])
 def test_error_paths(call, error, fragment):
     with pytest.raises(error, match=fragment):

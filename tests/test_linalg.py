@@ -434,6 +434,83 @@ def test_linalg_matches_sympy(seed):
     assert linalg.inertia(form) == (changes, len(form) - zeros - changes, zeros)
 
 
+def _valuation(x, p):
+    if x == 0:
+        return math.inf
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _jordan_input(seed):
+    """A symmetric integer matrix of rank 8-20 with entries in the hundreds,
+    a prime p in (2, 3, 5) and a precision k in 1..12: dense, or seeded
+    shears of a block-diagonal sum of p^v-multiples (of units, and at p = 2
+    also of the binary forms [[2a, b], [b, 2c]] with b odd), some of them 0."""
+    rng = random.Random(seed)
+    n, p, k = rng.randint(8, 20), rng.choice((2, 3, 5)), rng.randint(1, 12)
+    a = [[0] * n for _ in range(n)]
+    if rng.random() < 0.3:
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.randint(-300, 300)
+        return a, p, k
+    i = 0
+    while i < n:
+        scale = p ** rng.randint(0, 5) * rng.choice((0, 1, 1, 1, 1))
+        if p == 2 and i + 1 < n and rng.random() < 0.4:
+            x, y, z = 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1, 2 * rng.randint(-3, 3)
+            a[i][i], a[i][i + 1], a[i + 1][i], a[i + 1][i + 1] = (
+                scale * x, scale * y, scale * y, scale * z)
+            i += 2
+        else:
+            a[i][i] = scale * rng.choice([u for u in range(-7, 8) if u % p])
+            i += 1
+    for _ in range(3 * n):
+        r, t, f = rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2))
+        if r != t:
+            a[r] = [x + f * y for x, y in zip(a[r], a[t])]
+            for row in a:
+                row[r] += f * row[t]
+    return a, p, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_jordan_splits_the_form_mod_p_to_the_k(seed):
+    a, p, k = _jordan_input(seed)
+    q, n = p ** k, len(a)
+    blocks, u = linalg.jordan(a, p, k)
+    d = [[0] * n for _ in range(n)]
+    i = 0
+    for block in blocks:
+        assert all(0 <= x < q for x in block)
+        if len(block) == 1:
+            d[i][i] = block[0]
+        else:
+            x, y, z = block
+            assert p == 2 and _valuation(y, 2) < min(_valuation(x, 2), _valuation(z, 2))
+            d[i][i], d[i][i + 1], d[i + 1][i], d[i + 1][i + 1] = x, y, y, z
+        i += len(block) // 2 + 1
+    assert i == n
+    assert all(0 <= x < q for row in u for x in row)
+    uaut = linalg.mat_mul(linalg.mat_mul(u, a), [list(col) for col in zip(*u)])
+    assert all((x - y) % q == 0 for r, s in zip(uaut, d) for x, y in zip(r, s))
+    assert oracles.det(u) % p != 0
+    vdet = _valuation(int(oracles.det(a)), p)
+    if vdet < k:
+        vblocks = sum(_valuation(b[0] if len(b) == 1 else b[0] * b[2] - b[1] ** 2, p)
+                      for b in blocks)
+        assert vblocks == vdet
+
+
+def test_jordan_inputs_reach_entries_in_the_hundreds_and_2x2_blocks():
+    cases = [_jordan_input(seed) for seed in range(40)]
+    assert max(abs(x) for a, _p, _k in cases for row in a for x in row) >= 300
+    assert any(len(b) == 3 for a, p, k in cases for b in linalg.jordan(a, p, k)[0])
+
+
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: linalg.congruence_diagonalize([[1, 2], [0, 1]]), ValueError,
      "requires a symmetric matrix"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -422,6 +423,20 @@ def test_arithmetic_matches_oracle(case):
     # equal values built by different routes are equal and hash alike
     for z in (field.from_power(px), field.element(coords), (x + y) - y, x * field.one(), -(-x)):
         assert z == x and hash(z) == hash(x)
+
+
+def test_arithmetic_results_are_in_lowest_terms():
+    # results skip the constructor's check, so every one is checked here
+    rng = random.Random(29)
+    for field in (SQRT2, CUBIC, QUINTIC, SEPTIC, GOLDEN, IDEMPOTENT):
+        for _ in range(40):
+            x, y = (field.from_power([Fraction(rng.randint(-20, 20), rng.choice((1, 2, 4, 6, 9)))
+                                      for _ in range(field.degree)]) for _ in range(2))
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            for z in (x + y, x - y, x * y, -x, x * c, c * y, x - x, x * 0):
+                assert len(z.num) == field.degree and z.den > 0
+                assert math.gcd(z.den, *z.num) == 1
+                assert FieldElement(field, z.num, z.den) == z
 
 
 @pytest.mark.parametrize("call, error, fragment", [
